@@ -51,7 +51,6 @@ __all__ = [
     "decode_sparse",
     "decode_full",
     "decode_message",
-    "ledger_record",
 ]
 
 _FORMAT_VERSION = 1
@@ -309,9 +308,3 @@ class BitLedger:
                     [row.step, row.direction, row.kind, row.bits, row.cumulative_bits]
                 )
 
-
-def ledger_record(ledger: BitLedger, message: WireMessage, direction: str,
-                  step: int = 0, kind: Optional[str] = None) -> BitLedger:
-    """Record one message and return the (mutated) ledger."""
-    ledger.record_message(step, direction, message, kind=kind)
-    return ledger

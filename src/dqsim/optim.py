@@ -61,7 +61,6 @@ __all__ = [
     "run_training",
     "model_message",
     "gradient_message",
-    "select_output",
     "theory_constants",
     "theory_rho",
     "momentum_weight",
@@ -255,10 +254,7 @@ def model_message(
     b_use = cfg.b_x
     if diag["mu_required"] * diff_sq > budget:
         if cfg.bx_adapt:
-            b_use = max(
-                cfg.b_x,
-                choose_bx(x, snapshot, mu_scale * cfg.mu, FULL_PRECISION_BITS),
-            )
+            b_use = choose_bx(x, snapshot, mu_scale * cfg.mu, cfg.b_x + 1)
         else:
             diag["violation"] = True
     diag["b_x_used"] = b_use
@@ -302,13 +298,6 @@ def gradient_message(
     if cfg.algo in _GRAD_QUANTIZED and cfg.b < FULL_PRECISION_BITS:
         return codec.encode_dense(quantize_vector(alpha, cfg.b, rng))
     return codec.encode_full(alpha)
-
-
-def select_output(iterates: Sequence[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw over the recorded inner iterates."""
-    if len(iterates) == 0:
-        raise ValueError("empty iterate trace")
-    return iterates[int(rng.integers(0, len(iterates)))]
 
 
 def theory_rho(cfg: AlgoConfig, d: int, phi: Optional[float] = None) -> float:

@@ -69,12 +69,6 @@ class Dataset:
             self._dense = X
         return self._dense
 
-    def row_dense(self, i: int) -> np.ndarray:
-        out = np.zeros(self.d)
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        out[self.indices[lo:hi]] = self.values[lo:hi]
-        return out
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """A @ x for the full matrix."""
         prods = self.values * x[self.indices]

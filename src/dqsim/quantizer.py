@@ -28,7 +28,6 @@ __all__ = [
     "SparseLowPrecisionVector",
     "QuantConfig",
     "grid_for",
-    "quantize_scalar",
     "quantize_vector",
     "quantize_on_grid",
     "dequantize",
@@ -41,6 +40,9 @@ __all__ = [
 # Absorbs last-ulp noise from the delta division so that on-grid vectors are
 # reproduced exactly and hull extremes never dither.
 _SNAP_TOL = 1e-9
+
+# Widest grid; the codec packs codes of at most this many bits.
+_MAX_BITS = 32
 
 
 def _as_vector(v, name: str = "v") -> np.ndarray:
@@ -175,28 +177,18 @@ class QuantConfig:
     mu: float
 
     def __post_init__(self):
-        if not 2 <= self.b_x <= 32:
-            raise ValueError(f"b_x must be in [2, 32], got {self.b_x}")
-        if not 2 <= self.b <= 32:
-            raise ValueError(f"b must be in [2, 32], got {self.b}")
+        if not 2 <= self.b_x <= _MAX_BITS:
+            raise ValueError(f"b_x must be in [2, {_MAX_BITS}], got {self.b_x}")
+        if not 2 <= self.b <= _MAX_BITS:
+            raise ValueError(f"b must be in [2, {_MAX_BITS}], got {self.b}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
 
-def grid_for(v, bits: int, norm: str = "inf") -> QuantGrid:
-    """Grid whose hull covers ``v``: ``delta = ||v|| / (2^(bits-1) - 1)``.
-
-    ``norm`` is ``"inf"`` (the scaling rule used by the optimizers) or ``"l2"``
-    (admissible for the same variance bound, exposed for experimentation).
-    """
+def grid_for(v, bits: int) -> QuantGrid:
+    """Grid whose hull covers ``v``: ``delta = max|v_i| / (2^(bits-1) - 1)``."""
     v = _as_vector(v)
-    if norm == "inf":
-        scale = float(np.max(np.abs(v)))
-    elif norm == "l2":
-        scale = float(np.linalg.norm(v))
-    else:
-        raise ValueError(f"unknown norm {norm!r}")
-    return QuantGrid(scale / ((1 << (bits - 1)) - 1), bits)
+    return QuantGrid(float(np.max(np.abs(v))) / ((1 << (bits - 1)) - 1), bits)
 
 
 def _snapped_frac(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,48 +202,26 @@ def _snapped_frac(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, frac
 
 
-def quantize_scalar(x: float, grid: QuantGrid, rng: np.random.Generator) -> int:
-    """Quantize one value onto ``grid``; returns the integer code.
-
-    Inside the hull the result is the unbiased two-point rounding; outside it
-    is the nearest endpoint. Consumes exactly one uniform draw.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x}")
-    if grid.delta == 0.0:
-        raise ValueError("zero-delta grid encodes only the all-zero vector")
-    u = rng.random()
-    scaled = x / grid.delta
-    if scaled <= grid.code_min:
-        return grid.code_min
-    if scaled >= grid.code_max:
-        return grid.code_max
-    z, frac = _snapped_frac(np.asarray([scaled]))
-    return int(z[0]) + int(u < frac[0])
-
-
-def quantize_vector(
-    v, bits: int, rng: np.random.Generator, norm: str = "inf"
-) -> LowPrecisionVector:
-    """Quantize a vector with the covering grid for its norm.
+def quantize_vector(v, bits: int, rng: np.random.Generator) -> LowPrecisionVector:
+    """Quantize a vector with its covering grid (see :func:`grid_for`).
 
     The all-zero vector gets the degenerate ``delta = 0`` grid and all-zero
     codes, which decodes exactly. Consumes ``len(v)`` uniform draws otherwise.
     """
-    v = _as_vector(v)
-    grid = grid_for(v, bits, norm=norm)
+    grid = grid_for(v, bits)
     if grid.delta == 0.0:
-        return LowPrecisionVector(grid, np.zeros(v.size, dtype=np.int64))
-    u = rng.random(v.size)
-    scaled = np.clip(v / grid.delta, grid.code_min, grid.code_max)
-    z, frac = _snapped_frac(scaled)
-    return LowPrecisionVector(grid, (z + (u < frac)).astype(np.int64))
+        return LowPrecisionVector(grid, np.zeros(np.size(v), dtype=np.int64))
+    return quantize_on_grid(v, grid, rng)
 
 
 def quantize_on_grid(
     v, grid: QuantGrid, rng: np.random.Generator
 ) -> LowPrecisionVector:
-    """Quantize a vector onto an explicit grid, clamping out-of-hull values."""
+    """Quantize a vector onto an explicit grid, one uniform draw per value.
+
+    Inside the hull each value gets the unbiased two-point rounding; outside
+    it snaps to the nearest endpoint.
+    """
     v = _as_vector(v)
     if grid.delta == 0.0:
         raise ValueError("zero-delta grid encodes only the all-zero vector")
@@ -289,13 +259,13 @@ def expected_sq_error(v, grid: QuantGrid) -> float:
     return float(grid.delta**2 * np.sum(frac * (1.0 - frac)))
 
 
-def _model_grid(x: np.ndarray, bits: int) -> QuantGrid:
-    return QuantGrid(float(np.max(np.abs(x))) / ((1 << (bits - 1)) - 1), bits)
+def choose_bx(x, x_snapshot, mu: float, b_min: int = 2) -> int:
+    """Smallest bit width in [b_min, 32] whose exact expected quantization
+    error stays within ``mu * ||x - x_snapshot||^2``; 32 if none does.
 
-
-def choose_bx(x, x_snapshot, mu: float, b_max: int = 32) -> int:
-    """Smallest bit width in [2, b_max] whose exact expected quantization
-    error stays within ``mu * ||x - x_snapshot||^2``; ``b_max`` if none does.
+    The exact error is not monotone in the width (the grids are not nested),
+    so a caller widening a width that breaks the budget passes that width
+    plus one as ``b_min``.
 
     The caller must handle ``x == x_snapshot`` with a flag-bit message; here
     it is an error because the budget degenerates to zero.
@@ -306,12 +276,12 @@ def choose_bx(x, x_snapshot, mu: float, b_max: int = 32) -> int:
     if diff_sq == 0.0:
         raise ValueError("x equals x_snapshot: use flag-bit message")
     if float(np.max(np.abs(x))) == 0.0:
-        return 2  # zero vector encodes exactly at any width
+        return b_min  # zero vector encodes exactly at any width
     budget = mu * diff_sq
-    for bits in range(2, b_max + 1):
-        if expected_sq_error(x, _model_grid(x, bits)) <= budget:
+    for bits in range(b_min, _MAX_BITS + 1):
+        if expected_sq_error(x, grid_for(x, bits)) <= budget:
             return bits
-    return b_max
+    return _MAX_BITS
 
 
 def mu_required(x, x_snapshot, b_x: int) -> float:
@@ -324,4 +294,4 @@ def mu_required(x, x_snapshot, b_x: int) -> float:
         raise ValueError("x equals x_snapshot: mu is undefined on the flag path")
     if float(np.max(np.abs(x))) == 0.0:
         return 0.0
-    return expected_sq_error(x, _model_grid(x, b_x)) / diff_sq
+    return expected_sq_error(x, grid_for(x, b_x)) / diff_sq

@@ -15,7 +15,11 @@ as update ``t`` has staleness ``t - v``. Two mechanisms keep that at most
   earliest-arrival-first while slack allows, but a result is held back
   whenever consuming it would leave some older outstanding gradient unable
   to meet its own staleness deadline; when nothing is safely consumable the
-  master idles until the oldest outstanding result arrives.
+  master idles until a result arrives that is (the oldest outstanding result
+  always is), and the simulated clock jumps straight to that arrival.
+
+Both mechanisms live in one gate object that the simulated loop and the
+real-thread loop drive from their own event sources.
 
 Stalling only delays results, so every dispatched gradient is eventually
 applied within the epoch that produced it or discarded at the epoch barrier.
@@ -24,6 +28,8 @@ applied within the epoch that produced it or discarded at the epoch barrier.
 from __future__ import annotations
 
 import csv
+import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -108,11 +114,11 @@ class StalenessRecord:
 
 @dataclass
 class _Task:
-    seq: int
+    seq: int  # dispatch order, so a smaller seq is an older task
     worker_id: int
     version: int
-    arrival: int
-    payload: object
+    arrival: int = -1  # set by the event source
+    payload: object = None
 
 
 def _validate_loop_args(workers, tau, m):
@@ -129,22 +135,60 @@ def _validate_loop_args(workers, tau, m):
         w.validate()
 
 
-def _safe_choice(pending, outstanding, t, tau):
-    """Earliest-arrived pending task whose consumption leaves every older
-    outstanding task able to meet its staleness deadline, or None.
+class _Gate:
+    """Staleness bookkeeping shared by both inner loops: admission of at most
+    ``tau + 1`` outstanding tasks, the ready queue, and the deadline-safe
+    choice among arrived results. The loops only feed it events."""
 
-    With tasks ordered by dispatch, the j-th oldest applies no earlier than
-    update t + j, so task positions past any zero-slack elder are unsafe. The
-    oldest task itself is always safe, which gives liveness.
-    """
-    by_age = sorted(outstanding.values(), key=lambda task: task.seq)
-    slack_ok = []  # slack_ok[p]: all tasks older than position p have slack
-    ok = True
-    for j, task in enumerate(by_age):
-        slack_ok.append(ok)
-        ok = ok and (task.version + tau - (t + j) >= 1)
-    position = {task.seq: p for p, task in enumerate(by_age)}
-    return next((task for task in pending if slack_ok[position[task.seq]]), None)
+    def __init__(self, workers: Sequence[WorkerSpec], tau: int):
+        self.tau = tau
+        self.ready: deque[int] = deque(sorted(w.worker_id for w in workers))
+        # dispatched, not applied; filled in seq order, so oldest first
+        self.outstanding: dict[int, _Task] = {}
+        self.pending: dict[int, _Task] = {}  # arrived, not applied; arrival order
+        self.records: list[StalenessRecord] = []
+        self._next_seq = 0
+
+    @property
+    def t(self) -> int:
+        """Index of the next update, which is also the current model version."""
+        return len(self.records)
+
+    def admit(self) -> list[_Task]:
+        """Dispatch ready workers into free staleness slots at version ``t``."""
+        granted = []
+        while self.ready and len(self.outstanding) <= self.tau:
+            task = _Task(self._next_seq, self.ready.popleft(), self.t)
+            self.outstanding[task.seq] = task
+            self._next_seq += 1
+            granted.append(task)
+        return granted
+
+    def arrive(self, task: _Task) -> None:
+        self.pending[task.seq] = task
+        self.ready.append(task.worker_id)
+
+    def choose(self) -> Optional[_Task]:
+        """Earliest-arrived pending task whose consumption leaves every older
+        outstanding task able to meet its staleness deadline, or None.
+
+        The j-th oldest outstanding task applies no earlier than update
+        t + j, so the safe tasks are the oldest ones up to and including the
+        first with zero slack. The oldest task is always safe, which gives
+        liveness.
+        """
+        t, tau = self.t, self.tau
+        limit = next((task.seq for j, task in enumerate(self.outstanding.values())
+                      if task.version + tau - (t + j) < 1), None)
+        return next((task for task in self.pending.values()
+                     if limit is None or task.seq <= limit), None)
+
+    def apply(self, task: _Task, clock: int) -> StalenessRecord:
+        """Retire ``task`` as update ``t`` landing at ``clock``."""
+        record = StalenessRecord(self.t, task.version, task.worker_id, clock)
+        del self.pending[task.seq], self.outstanding[task.seq]
+        self.records.append(record)
+        return record
 
 
 def run_inner_loop(
@@ -168,60 +212,35 @@ def run_inner_loop(
     master, applied or not; epoch-end leftovers are the caller's to discard.
     """
     _validate_loop_args(workers, tau, m)
-    by_id = {w.worker_id: w for w in workers}
-    rng_by_id = {w.worker_id: rng for w, rng in zip(workers, latency_rngs)}
-
-    outstanding: dict[int, _Task] = {}
-    pending: list[_Task] = []  # arrived, not applied; kept in arrival order
-    ready: deque[int] = deque(sorted(by_id))
-    records: list[StalenessRecord] = []
+    latency_of = {w.worker_id: (w.latency, rng)
+                  for w, rng in zip(workers, latency_rngs)}
+    gate = _Gate(workers, tau)
+    arrivals: list[tuple[int, int, _Task]] = []  # heap keyed by (arrival, seq)
     clock = 0
-    t = 0
-    seq = 0
-    max_slots = tau + 1
 
-    def grant(worker_id: int, version: int) -> None:
-        nonlocal seq
-        latency = by_id[worker_id].latency.draw(rng_by_id[worker_id])
-        payload = worker_step(worker_id, model_step(worker_id, version))
-        outstanding[seq] = _Task(seq, worker_id, version, clock + latency, payload)
-        seq += 1
-
-    # Initial dispatch happens in the first tick's grant phase (clock 0).
-    while t < m:
-        # arrivals: results landing this tick, oldest grant first
-        arrivals = sorted(
-            (task for task in outstanding.values() if task.arrival == clock),
-            key=lambda task: task.seq,
-        )
-        for task in arrivals:
-            pending.append(task)
-            ready.append(task.worker_id)
+    # Each tick: land this tick's arrivals, apply at most one update, then
+    # dispatch into free slots at the post-update model version.
+    while True:
+        while arrivals and arrivals[0][0] == clock:
+            task = heapq.heappop(arrivals)[2]
+            gate.arrive(task)
             if on_arrival is not None:
                 on_arrival(clock, task.worker_id, task.payload)
-
-        # apply phase: at most one update per tick; when nothing is safely
-        # consumable the oldest outstanding task is in flight and the master
-        # idles until it arrives
-        if pending:
-            chosen = _safe_choice(pending, outstanding, t, tau)
-            if chosen is not None:
-                record = StalenessRecord(t, chosen.version, chosen.worker_id, clock)
-                apply_step(t, chosen.payload, record)
-                records.append(record)
-                pending.remove(chosen)
-                del outstanding[chosen.seq]
-                t += 1
-                if t == m:
-                    break
-
-        # grant phase: fill free staleness slots, post-update model version
-        while ready and len(outstanding) < max_slots:
-            grant(ready.popleft(), t)
-
-        clock += 1
-
-    return records
+        chosen = gate.choose()
+        if chosen is not None:
+            record = gate.apply(chosen, clock)
+            apply_step(record.t, chosen.payload, record)
+            if gate.t == m:
+                return gate.records
+        for task in gate.admit():
+            latency, rng = latency_of[task.worker_id]
+            task.arrival = clock + latency.draw(rng)
+            task.payload = worker_step(
+                task.worker_id, model_step(task.worker_id, task.version))
+            heapq.heappush(arrivals, (task.arrival, task.seq, task))
+        # Without a safe choice nothing changes before the next arrival, and
+        # one is in flight because the oldest outstanding task is always safe.
+        clock = clock + 1 if chosen is not None else arrivals[0][0]
 
 
 def run_inner_loop_threads(
@@ -241,7 +260,8 @@ def run_inner_loop_threads(
     Workers share nothing: they receive model messages and return results by
     value over queues, and only the master thread touches master state (all
     model_step/apply_step calls happen here; worker_step runs on the worker's
-    thread against its own streams).
+    thread against its own streams). An exception raised by ``worker_step``
+    stops the run and is re-raised here once every worker thread has exited.
     """
     import queue
     import threading
@@ -252,12 +272,14 @@ def run_inner_loop_threads(
 
     def worker_loop(worker_id: int):
         inbox = inboxes[worker_id]
-        while True:
-            item = inbox.get()
-            if item is None:
+        while (item := inbox.get()) is not None:
+            seq, model = item
+            try:
+                payload = worker_step(worker_id, model)
+            except Exception as exc:  # carried to the master, which re-raises
+                results.put((seq, None, exc))
                 return
-            seq, version, model = item
-            results.put((seq, worker_id, version, worker_step(worker_id, model)))
+            results.put((seq, payload, None))
 
     threads = [
         threading.Thread(target=worker_loop, args=(w.worker_id,), daemon=True)
@@ -266,62 +288,43 @@ def run_inner_loop_threads(
     for th in threads:
         th.start()
 
-    outstanding: dict[int, _Task] = {}
-    pending: list[_Task] = []
-    ready: deque[int] = deque(sorted(w.worker_id for w in workers))
-    records: list[StalenessRecord] = []
-    t = 0
-    seq = 0
-    arrivals_seen = 0
-    max_slots = tau + 1
+    gate = _Gate(workers, tau)
+    arrival_order = itertools.count()
 
-    def drain(block: bool) -> bool:
-        nonlocal arrivals_seen
-        got = False
+    def receive(block: bool) -> None:
+        """Hand every finished result to the gate; with ``block``, first wait
+        for one."""
         while True:
             try:
-                item = results.get(block=block and not got)
+                seq, payload, error = results.get(block=block)
             except queue.Empty:
-                break
-            res_seq, worker_id, version, payload = item
-            task = outstanding[res_seq]
+                return
+            if error is not None:
+                raise error
+            block = False
+            task = gate.outstanding[seq]
             task.payload = payload
-            task.arrival = arrivals_seen
-            arrivals_seen += 1
-            pending.append(task)
-            ready.append(worker_id)
+            task.arrival = next(arrival_order)
+            gate.arrive(task)
             if on_arrival is not None:
-                on_arrival(task.arrival, worker_id, payload)
-            got = True
-            if block:
-                break
-        return got
+                on_arrival(task.arrival, task.worker_id, payload)
 
     try:
-        while t < m:
-            while ready and len(outstanding) < max_slots:
-                worker_id = ready.popleft()
-                outstanding[seq] = _Task(seq, worker_id, t, -1, None)
-                inboxes[worker_id].put((seq, t, model_step(worker_id, t)))
-                seq += 1
-            drain(block=not pending)
-            chosen = _safe_choice(pending, outstanding, t, tau)
-            if chosen is None:
-                drain(block=True)
-                continue
-            record = StalenessRecord(t, chosen.version, chosen.worker_id,
-                                     chosen.arrival)
-            apply_step(t, chosen.payload, record)
-            records.append(record)
-            pending.remove(chosen)
-            del outstanding[chosen.seq]
-            t += 1
+        while gate.t < m:
+            for task in gate.admit():
+                inboxes[task.worker_id].put(
+                    (task.seq, model_step(task.worker_id, task.version)))
+            receive(block=False)
+            while (chosen := gate.choose()) is None:
+                receive(block=True)
+            record = gate.apply(chosen, chosen.arrival)
+            apply_step(record.t, chosen.payload, record)
     finally:
         for inbox in inboxes.values():
             inbox.put(None)
         for th in threads:
             th.join()
-    return records
+    return gate.records
 
 
 def epoch_barrier(

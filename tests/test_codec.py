@@ -18,7 +18,6 @@ from dqsim.codec import (
     flag_bits,
     full_bits,
     index_bits,
-    ledger_record,
     sparse_bits,
 )
 from dqsim.quantizer import LowPrecisionVector, QuantGrid, SparseLowPrecisionVector
@@ -174,11 +173,11 @@ class TestLedger:
     def test_records_and_totals(self):
         ledger = BitLedger()
         q = LowPrecisionVector(QuantGrid(0.5, 8), np.zeros(1000, dtype=np.int64))
-        ledger_record(ledger, encode_dense(q), "down", step=0)
+        ledger.record_message(0, "down", encode_dense(q))
         assert ledger.down_bits == 8032 and ledger.up_bits == 0
-        ledger_record(ledger, encode_flag(), "down", step=1)
+        ledger.record_message(1, "down", encode_flag())
         assert ledger.down_bits == 8033
-        ledger_record(ledger, encode_full(np.zeros(10)), "up", step=2)
+        ledger.record_message(2, "up", encode_full(np.zeros(10)))
         assert ledger.up_bits == 320
 
     def test_conservation_over_random_sequences(self):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,19 @@ from dqsim.optim import (
     make_streams,
     momentum_weight,
     run_training,
-    select_output,
     theory_constants,
     theory_rho,
     gradient_message,
     model_message,
 )
 from dqsim.problems import CompositeProblem, logistic_problem, soft_threshold, synth_dataset
-from dqsim.quantizer import choose_bx, dequantize, quantize_vector
+from dqsim.quantizer import (
+    choose_bx,
+    dequantize,
+    expected_sq_error,
+    grid_for,
+    quantize_vector,
+)
 from dqsim.simnet import UniformLatency, WorkerSpec
 
 from oracles import serial_prox_svrg
@@ -165,6 +168,18 @@ class TestModelMessage:
         assert diag["b_x_used"] > 8
         assert not diag["violation"]
 
+    def test_widening_never_narrows(self):
+        # width 3 is exact on [1, 1/3] (delta 1/3) but width 8 is not: the
+        # search must look above b_x, where width 9 (delta 1/255) is exact
+        x = np.array([1.0, 1.0 / 3.0])
+        snap = x + np.array([0.005, 0.0])
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=0.1, bx_adapt=True)
+        msg, diag = model_message(x, snap, cfg, rng_of(17))
+        budget = 0.1 * float(np.sum((x - snap) ** 2))
+        assert diag["b_x_used"] == 9 and not diag["violation"]
+        assert msg.kind is MessageKind.DENSE and msg.bits == 32 + 9 * 2
+        assert expected_sq_error(x, grid_for(x, 9)) <= budget
+
     def test_fixed_width_logs_violation(self):
         rng = rng_of(13)
         x = rng.normal(size=50)
@@ -184,7 +199,7 @@ class TestModelMessage:
         rng = rng_of(16)
         x, snap = rng.normal(size=64), rng.normal(size=64)
         widths = [
-            choose_bx(x, snap, momentum_weight(s) * 0.05, 32) for s in range(1, 30)
+            choose_bx(x, snap, momentum_weight(s) * 0.05) for s in range(1, 30)
         ]
         assert all(a <= b for a, b in zip(widths, widths[1:]))
 
@@ -263,34 +278,6 @@ class TestAccelerated:
         xs = [x for x, _, _, _ in res.iterate_trace[-3:]]
         np.testing.assert_allclose(res.output, np.mean(xs, axis=0), atol=1e-15)
         np.testing.assert_array_equal(res.output, res.final_snapshot)
-
-
-class TestSelectOutput:
-    def test_singleton(self):
-        only = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(select_output([only], rng_of(1)), only)
-
-    def test_reproducible(self):
-        iterates = [np.array([float(i)]) for i in range(50)]
-        a = select_output(iterates, rng_of(7))
-        b = select_output(iterates, rng_of(7))
-        np.testing.assert_array_equal(a, b)
-
-    def test_uniformity_chi_squared(self):
-        k, n = 20, 100_000
-        iterates = [np.array([float(i)]) for i in range(k)]
-        rng = rng_of(8)
-        counts = np.zeros(k)
-        for _ in range(n):
-            counts[int(select_output(iterates, rng)[0])] += 1
-        expected = n / k
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        # chi2_{19}: mean 19, sd sqrt(38); 4 sigma above the mean
-        assert chi2 < 19 + 4 * math.sqrt(38)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            select_output([], rng_of(9))
 
 
 class TestTheoryConstants:

@@ -201,14 +201,14 @@ class TestLibsvm:
         data = load_libsvm(path)
         assert data.n == 1 and data.d == 3
         assert data.labels[0] == 1.0
-        np.testing.assert_array_equal(data.row_dense(0), [0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 0.5])
 
     def test_dense_prefix(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("-1 1:1 2:2\n")
         data = load_libsvm(path)
         assert data.labels[0] == -1.0
-        np.testing.assert_array_equal(data.row_dense(0), [1.0, 2.0])
+        np.testing.assert_array_equal(data.dense()[0], [1.0, 2.0])
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -1,3 +1,7 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -122,6 +126,38 @@ class TestInnerLoop:
         with pytest.raises(ValueError):
             GeometricLatency(0.0).validate()
 
+    def test_golden_schedule_digest(self):
+        # The criterion-5 generator (same seed and draw order) at m=500; the
+        # digest pins every record's update, version, worker and clock tick.
+        rng = np.random.default_rng(105)
+        digest = hashlib.sha256()
+        for trial in range(200):
+            n_w = int(rng.integers(1, 9))
+            tau = int(rng.integers(0, 9))
+            specs = []
+            for i in range(n_w):
+                kind = int(rng.integers(0, 3))
+                if kind == 0:
+                    specs.append(WorkerSpec(i, FixedLatency(int(rng.integers(1, 7)))))
+                elif kind == 1:
+                    specs.append(
+                        WorkerSpec(i, UniformLatency(1, int(rng.integers(2, 10))))
+                    )
+                else:
+                    specs.append(
+                        WorkerSpec(i, GeometricLatency(float(rng.uniform(0.15, 0.9))))
+                    )
+            _, _, lat, _, _ = make_streams(trial, n_w)
+            recs = run_inner_loop(
+                specs, tau, 500, lambda w, v: None, lambda w, d: d,
+                lambda t, p, r: None, lat
+            )
+            for r in recs:
+                digest.update(f"{r.t},{r.version},{r.worker_id},{r.clock};".encode())
+        assert digest.hexdigest() == (
+            "e369e47ee6890f291f557552c97ec7115f75dbbfeec887690a3e03054375f814"
+        )
+
     def test_trace_csv(self, tmp_path):
         rows = [{"t": 0, "D_t": 0, "worker_id": 1, "epoch": 0,
                  "message_kind": "full", "bits": 64}]
@@ -153,8 +189,6 @@ class TestThreadedLoop:
                 assert v == rec.version and w == rec.worker_id
 
     def test_worker_step_runs_off_master_thread(self):
-        import threading
-
         main = threading.get_ident()
         seen = set()
 
@@ -167,6 +201,60 @@ class TestThreadedLoop:
             workers, 1, 40, lambda w, v: v, worker_step, lambda t, p, r: None
         )
         assert main not in seen and len(seen) == 2
+
+    def test_worker_error_reaches_master(self):
+        class WorkerFailure(Exception):
+            pass
+
+        def worker_step(worker_id, model):
+            raise WorkerFailure(worker_id)
+
+        caught = []
+
+        def run():
+            try:
+                run_inner_loop_threads(
+                    [WorkerSpec(0, FixedLatency(1))], 1, 5,
+                    lambda w, v: v, worker_step, lambda t, p, r: None,
+                )
+            except Exception as exc:
+                caught.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert [type(exc) for exc in caught] == [WorkerFailure]
+
+    def test_stress_more_workers_than_cores(self):
+        tau, m = 5, 2000
+        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(16)]
+        applied = []
+        out = {}
+
+        def run():
+            out["recs"] = run_inner_loop_threads(
+                workers, tau, m,
+                lambda w, v: v,
+                lambda w, v: (w, v),
+                lambda t, p, r: applied.append((t, p)),
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        recs = out["recs"]
+        assert len(recs) == m
+        assert [t for t, _ in applied] == list(range(m))
+        assert all(0 <= r.staleness <= tau for r in recs)
+        for (t, (w, v)), rec in zip(applied, recs):
+            assert v == rec.version and w == rec.worker_id
 
     def test_training_runs_end_to_end_in_thread_mode(self):
         from dqsim.optim import AlgoConfig, Algorithm, run_training
