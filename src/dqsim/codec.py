@@ -53,8 +53,6 @@ __all__ = [
     "decode_message",
 ]
 
-_FORMAT_VERSION = 1
-
 
 class MessageKind(enum.Enum):
     FULL = "full"

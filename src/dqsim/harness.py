@@ -20,7 +20,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -393,7 +393,7 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
         cfg = _with_overrides(config, eta=lr, eta_mode="constant")
         acfg = cfg.algo_config()
         if budget_epochs is not None:
-            acfg = AlgoConfig(**{**_acfg_dict(acfg), "epochs": budget_epochs})
+            acfg = replace(acfg, epochs=budget_epochs)
         res = run_training(problem, acfg, workers)
         results[lr] = res.final_loss
     finite = {lr: loss for lr, loss in results.items() if math.isfinite(loss)}
@@ -401,12 +401,6 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
         raise ValueError(f"all learning rates diverged: {sorted(grid)}")
     best = min(sorted(finite), key=lambda lr: (finite[lr], lr))
     return best, results
-
-
-def _acfg_dict(acfg: AlgoConfig) -> dict:
-    d = asdict(acfg)
-    d["algo"] = acfg.algo
-    return d
 
 
 def figure_mu_trace(config: ExperimentConfig,

@@ -130,10 +130,6 @@ class AlgoConfig:
         if self.execution not in ("simulated", "threads"):
             raise ValueError(f"unknown execution mode {self.execution!r}")
 
-    @property
-    def quant(self) -> QuantConfig:
-        return QuantConfig(self.b_x, self.b, self.mu)
-
 
 @dataclass
 class TrainState:
@@ -275,25 +271,17 @@ def gradient_message(
     """Compress one gradient difference for the upstream direction."""
     if cfg.algo is Algorithm.SPARSE_ASYLPG:
         d = alpha.size
-        if not np.any(alpha):
-            return codec.encode_sparse(
-                SparseLowPrecisionVector(
-                    grid_for(np.ones(1), cfg.b), d,
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+        if np.any(alpha):
+            phi = budget_max(alpha) if cfg.phi is None else clamp_budget(alpha, cfg.phi)
+            beta = sparsify(alpha, optimal_plan(alpha, phi), rng)
+            if beta.nnz:
+                q = quantize_vector(beta.values, cfg.b, rng)
+                return codec.encode_sparse(
+                    SparseLowPrecisionVector(q.grid, d, beta.indices, q.codes)
                 )
-            )
-        phi = budget_max(alpha) if cfg.phi is None else clamp_budget(alpha, cfg.phi)
-        beta = sparsify(alpha, optimal_plan(alpha, phi), rng)
-        if beta.nnz == 0:
-            return codec.encode_sparse(
-                SparseLowPrecisionVector(
-                    grid_for(np.ones(1), cfg.b), d,
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                )
-            )
-        q = quantize_vector(beta.values, cfg.b, rng)
+        empty = np.zeros(0, dtype=np.int64)
         return codec.encode_sparse(
-            SparseLowPrecisionVector(q.grid, d, beta.indices, q.codes)
+            SparseLowPrecisionVector(grid_for(np.ones(1), cfg.b), d, empty, empty)
         )
     if cfg.algo in _GRAD_QUANTIZED and cfg.b < FULL_PRECISION_BITS:
         return codec.encode_dense(quantize_vector(alpha, cfg.b, rng))

@@ -6,6 +6,11 @@ workloads are provided: L1/L2-regularized logistic regression (the L2 term
 lives inside f so that h is exactly the L1 norm and its prox is the
 coordinatewise soft threshold) and a small fully-connected ReLU network with
 softmax loss and L2 weight decay (h = 0, prox = identity).
+
+``Dataset`` is the one place that picks how rows are stored: its row products
+run on a dense copy when ``n * d <= _DENSE_CACHE_LIMIT`` and on the CSR arrays
+otherwise. The logistic kernels use only those products; the MLP reads the
+dense copy directly.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
     "synth_multiclass_dataset",
 ]
 
-# Row count * dim below which a dense feature cache is kept for fast batches.
+# Row count * dim up to which a Dataset computes its products on a dense copy
+# of the matrix; above it they run on the CSR arrays.
 _DENSE_CACHE_LIMIT = 20_000_000
 
 
@@ -69,21 +75,49 @@ class Dataset:
             self._dense = X
         return self._dense
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for the full matrix."""
-        prods = self.values * x[self.indices]
-        return np.bincount(self._row_of, weights=prods, minlength=self.n)
+    def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
+        whole matrix) or an array of row indices, repeats allowed."""
+        X = self._dense_cache()
+        if X is not None:
+            return X[rows] @ x
+        row_ids, cols, vals, k = self._entries(rows)
+        return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
 
-    def tdot(self, w: np.ndarray) -> np.ndarray:
-        """A.T @ w for the full matrix."""
-        prods = self.values * w[self._row_of]
-        return np.bincount(self.indices, weights=prods, minlength=self.d)
+    def tdot(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """A[rows].T @ w, with ``rows`` as in ``dot``."""
+        X = self._dense_cache()
+        if X is not None:
+            return w @ X[rows]
+        row_ids, cols, vals, _ = self._entries(rows)
+        return np.bincount(cols, weights=vals * w[row_ids], minlength=self.d)
+
+    def _dense_cache(self) -> np.ndarray | None:
+        """The dense copy that dot and tdot use, or None when they use CSR."""
+        return self.dense() if self.n * self.d <= _DENSE_CACHE_LIMIT else None
+
+    def _entries(self, rows):
+        """CSR entries of A[rows]: (row position in ``rows``, column, value)
+        per entry, plus the row count."""
+        if isinstance(rows, slice):
+            lo, hi, step = rows.indices(self.n)
+            if step != 1:
+                raise ValueError("row slices must have unit step")
+            p0, p1 = self.indptr[lo], self.indptr[hi]
+            row_ids = self._row_of[p0:p1]
+            if lo:  # the whole matrix reads _row_of in place, with no copy
+                row_ids = row_ids - lo
+            return row_ids, self.indices[p0:p1], self.values[p0:p1], hi - lo
+        idx = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[idx]
+        counts = self.indptr[idx + 1] - starts
+        row_ids = np.repeat(np.arange(idx.size), counts)
+        offsets = np.cumsum(counts) - counts
+        pos = np.repeat(starts - offsets, counts) + np.arange(row_ids.size)
+        return row_ids, self.indices[pos], self.values[pos], idx.size
 
     def row_norms_sq(self) -> np.ndarray:
         return np.bincount(self._row_of, weights=self.values**2, minlength=self.n)
-
-    def _use_dense(self) -> bool:
-        return self.n * self.d <= _DENSE_CACHE_LIMIT
 
 
 def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -154,7 +188,6 @@ class LogisticProblem(CompositeProblem):
         self.n = data.n
         self.d = data.d
         self.smoothness = float(np.max(data.row_norms_sq())) / 4.0 + self.lambda2
-        self._X = data.dense() if data._use_dense() else None
 
     @staticmethod
     def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
@@ -182,37 +215,18 @@ class LogisticProblem(CompositeProblem):
         g[idx] += c * vals
         return g
 
+    def _loss_grad_sum(self, rows, x: np.ndarray) -> np.ndarray:
+        """Sum over A[rows] of the per-sample loss gradients, L2 term left out."""
+        y = self.y[rows]
+        c = self._coeffs(y * self.data.dot(x, rows), y)
+        return self.data.tdot(c, rows)
+
     def grad_batch(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        if self._X is not None:
-            rows = self._X[idx]
-            margins = self.y[idx] * (rows @ x)
-            c = self._coeffs(margins, self.y[idx])
-            return (c @ rows) / idx.size + self.lambda2 * x
-        g = self.lambda2 * x.copy() * idx.size
-        for i in idx:
-            lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
-            cols, vals = self.data.indices[lo:hi], self.data.values[lo:hi]
-            margin = self.y[i] * float(vals @ x[cols])
-            g[cols] += float(self._coeffs(np.asarray(margin), self.y[i])) * vals
-        return g / idx.size
+        return self._loss_grad_sum(idx, x) / idx.size + self.lambda2 * x
 
     def grad_range_sum(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
-        if self._X is not None:
-            rows = self._X[lo:hi]
-            margins = self.y[lo:hi] * (rows @ x)
-            c = self._coeffs(margins, self.y[lo:hi])
-            return c @ rows + (hi - lo) * self.lambda2 * x
-        p0, p1 = self.data.indptr[lo], self.data.indptr[hi]
-        cols = self.data.indices[p0:p1]
-        vals = self.data.values[p0:p1]
-        rows_of = self.data._row_of[p0:p1] - lo
-        margins = self.y[lo:hi] * np.bincount(
-            rows_of, weights=vals * x[cols], minlength=hi - lo
-        )
-        c = self._coeffs(margins, self.y[lo:hi])
-        g = np.bincount(cols, weights=vals * c[rows_of], minlength=self.d)
-        return g + (hi - lo) * self.lambda2 * x
+        return self._loss_grad_sum(slice(lo, hi), x) + (hi - lo) * self.lambda2 * x
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         out = soft_threshold(v, eta * self.lambda1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dqsim import problems
 from dqsim.problems import (
     CompositeProblem,
     Dataset,
@@ -117,6 +118,40 @@ class TestLogistic:
                          (data.labels > 0).astype(float), data.d)
         prob = logistic_problem(data01, 0.0, 0.0)
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
+
+
+class TestLogisticCSR(TestLogistic):
+    """Every TestLogistic case again with the dense cache off, so the
+    logistic kernels run on the CSR arrays."""
+
+    @pytest.fixture(autouse=True)
+    def csr_storage(self, monkeypatch):
+        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+
+
+def test_dense_and_csr_storage_agree(monkeypatch):
+    rng = rng_of(11)
+    n, d = 30, 9
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.3)
+    X[4] = 0.0  # an empty row
+    rows, cols = np.nonzero(X)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    prob = logistic_problem(Dataset(indptr, cols, X[rows, cols], labels, d),
+                            0.01, 0.001)
+    x = rng.normal(size=d)
+    batch = np.array([7, 4, 7, 0, 29, 13])
+
+    def kernels():
+        return (prob.f_value(x), prob.grad_batch(batch, x),
+                prob.grad_range_sum(3, 21, x))
+
+    dense = kernels()
+    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    csr = kernels()
+    assert csr[0] == pytest.approx(dense[0], rel=1e-12)
+    for got, want in zip(csr[1:], dense[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class _Quad1D(CompositeProblem):
