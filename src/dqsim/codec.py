@@ -182,13 +182,22 @@ def encode_sparse(q: SparseLowPrecisionVector) -> WireMessage:
 
 
 def encode_full(v) -> WireMessage:
-    """Full-precision vector: 32*d counted bits, binary32 payload."""
+    """Full-precision vector: 32*d counted bits, binary32 payload.
+
+    A finite value that rounds past the binary32 range raises
+    ``OverflowError``, as ``struct.pack(">f", ...)`` does for the scale of a
+    quantized message, so the wire never carries an infinity the simulator
+    does not hold."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot encode non-finite values")
-    body = arr.astype(">f4").tobytes()
+    with np.errstate(over="ignore"):
+        wire = arr.astype(">f4")
+    if not np.all(np.isfinite(wire)):
+        raise OverflowError("value too large for binary32")
+    body = wire.tobytes()
     return WireMessage(
         kind=MessageKind.FULL,
         bits=full_bits(arr.size),

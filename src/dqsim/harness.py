@@ -382,7 +382,8 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
                    problem: Optional[CompositeProblem] = None) -> tuple[float, dict]:
     """Pick the constant learning rate minimizing the final training loss over
     a short run; ties break toward the smaller rate. Divergent rates
-    (non-finite loss) are skipped; all divergent is an error."""
+    (non-finite loss, or an iterate too large for a binary32 message) are
+    skipped; all divergent is an error."""
     if not grid:
         raise ValueError("empty learning-rate grid")
     if problem is None:
@@ -394,8 +395,10 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
         acfg = cfg.algo_config()
         if budget_epochs is not None:
             acfg = replace(acfg, epochs=budget_epochs)
-        res = run_training(problem, acfg, workers)
-        results[lr] = res.final_loss
+        try:
+            results[lr] = run_training(problem, acfg, workers).final_loss
+        except OverflowError:
+            results[lr] = math.inf
     finite = {lr: loss for lr, loss in results.items() if math.isfinite(loss)}
     if not finite:
         raise ValueError(f"all learning rates diverged: {sorted(grid)}")

@@ -11,6 +11,12 @@ softmax loss and L2 weight decay (h = 0, prox = identity).
 run on a dense copy when ``n * d <= _DENSE_CACHE_LIMIT`` and on the CSR arrays
 otherwise. The logistic kernels use only those products; the MLP reads the
 dense copy directly.
+
+``Dataset.dot`` also remembers its last whole-matrix product ``A @ x``, keyed
+on the bytes of ``x``, so the loss after one update and the gradient mapping
+before the next compute the margins of that iterate once. That one entry is
+the only state a dataset or problem changes after construction; it is written
+as a single tuple, so a thread reads either the old entry or the new one.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ class Dataset:
         counts = np.diff(self.indptr)
         self._row_of = np.repeat(np.arange(self.n), counts)
         self._dense: np.ndarray | None = None
+        self._last_whole = None  # (key of x, read-only A @ x); see dot
 
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
@@ -77,12 +84,28 @@ class Dataset:
 
     def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
-        whole matrix) or an array of row indices, repeats allowed."""
+        whole matrix) or an array of row indices, repeats allowed.
+
+        The last whole-matrix product is kept and returned read-only while
+        ``x`` has the same shape, dtype and bytes, so ``objective(x)`` and
+        ``full_grad(x)`` at one iterate share it. Other row sets always
+        compute."""
+        whole = isinstance(rows, slice) and rows.indices(self.n) == (0, self.n, 1)
+        if whole:
+            key = (x.shape, x.dtype.str, x.tobytes())
+            last = self._last_whole
+            if last is not None and last[0] == key:
+                return last[1]
         X = self._dense_cache()
         if X is not None:
-            return X[rows] @ x
-        row_ids, cols, vals, k = self._entries(rows)
-        return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
+            out = X[rows] @ x
+        else:
+            row_ids, cols, vals, k = self._entries(rows)
+            out = np.bincount(row_ids, weights=vals * x[cols], minlength=k)
+        if whole:
+            out.flags.writeable = False
+            self._last_whole = (key, out)
+        return out
 
     def tdot(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
         """A[rows].T @ w, with ``rows`` as in ``dot``."""
@@ -130,7 +153,10 @@ class CompositeProblem:
     Subclasses set ``n``, ``d`` and ``smoothness`` (an estimated Lipschitz
     constant of each per-sample gradient, or None when no sound estimate
     exists) and implement the f/h/prox family below. Instances are immutable
-    after construction; gradient evaluation is reentrant.
+    after construction, except that a logistic problem's ``Dataset`` keeps
+    one memo of its last whole-matrix product (see ``Dataset.dot``). The memo
+    is replaced by one tuple assignment and read once per call, so gradient
+    evaluation stays reentrant and safe from worker threads.
     """
 
     n: int

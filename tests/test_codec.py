@@ -168,6 +168,13 @@ class TestRoundtrips:
         with pytest.raises(ValueError):
             encode_full(np.array([1.0, np.inf]))
 
+    def test_full_beyond_binary32_overflows(self):
+        with pytest.raises(OverflowError):
+            encode_full(np.array([1e39, 1.0]))
+        top = float(np.finfo(np.float32).max)
+        msg = encode_full(np.array([-top, top]))
+        np.testing.assert_array_equal(decode_full(msg.payload, 2), [-top, top])
+
 
 class TestLedger:
     def test_records_and_totals(self):

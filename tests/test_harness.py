@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -200,6 +201,25 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lr_grid_search(base_config(), [])
+
+    def divergent_config(self):
+        return parse_config({
+            "problem": {"kind": "synth_logistic", "n": 200, "d": 20},
+            "algo": {"algo": "asylpg", "epochs": 2, "m": 50, "tau": 2},
+            "workers": {"count": 2},
+            "run": {"loss_target": None},
+        })
+
+    def test_overflowing_rates_are_skipped(self):
+        # eta = 1e6 sends a quantization scale past binary32, which the
+        # codec refuses with OverflowError
+        best, results = lr_grid_search(self.divergent_config(), [1e6, 1e5, 0.1])
+        assert best == 0.1
+        assert not math.isfinite(results[1e6])
+
+    def test_all_divergent_is_an_error(self):
+        with pytest.raises(ValueError, match="diverged"):
+            lr_grid_search(self.divergent_config(), [1e6])
 
 
 class TestMuTrace:
