@@ -26,7 +26,6 @@ from .quantizer import (
     QuantConfig,
     QuantGrid,
     SparseLowPrecisionVector,
-    dequantize,
     quantize_vector,
 )
 from .simnet import (
@@ -60,7 +59,6 @@ __all__ = [
     "UniformLatency",
     "WireMessage",
     "WorkerSpec",
-    "dequantize",
     "gradient_mapping_norm",
     "load_libsvm",
     "logistic_problem",

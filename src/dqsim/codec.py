@@ -8,6 +8,12 @@ an explicit entry count for sparse payloads, and final-byte padding; none of
 those are counted, so ledger totals match the closed-form message costs
 exactly.
 
+A message holds its kind, its counted bits and its typed value. The
+simulator consumes the value and the ledger charges the bits, so the
+physical stream is packed only on request, each time ``payload`` is read.
+Everything that can make a message unsendable (a code width past 32 bits, a
+scale or value past binary32) is checked when the message is built.
+
 Wire layout (version 1), after the tag byte:
 
     full    : d big-endian IEEE-754 binary32 values
@@ -27,12 +33,17 @@ import csv
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .quantizer import LowPrecisionVector, QuantGrid, SparseLowPrecisionVector
+from .quantizer import (
+    FULL_PRECISION_BITS,
+    LowPrecisionVector,
+    QuantGrid,
+    SparseLowPrecisionVector,
+)
 
 __all__ = [
     "MessageKind",
@@ -72,20 +83,23 @@ _KIND_BY_TAG = {tag: kind for kind, tag in _TAGS.items()}
 Content = Union[np.ndarray, LowPrecisionVector, SparseLowPrecisionVector, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WireMessage:
     """One master<->worker message.
 
-    ``bits`` is the counted information cost. ``payload`` is the physical
-    packed stream (tag byte included). ``content`` keeps the sender-side
-    typed value so the simulator can consume messages without the binary32
-    round trip; the payload is authoritative for persistence.
+    ``bits`` is the counted information cost. ``content`` is the sender-side
+    typed value, which the simulator consumes without the binary32 round
+    trip. ``payload`` packs the physical stream (tag byte included) from
+    ``content`` each time it is read.
     """
 
     kind: MessageKind
     bits: int
-    payload: bytes
-    content: Content = field(compare=False)
+    content: Content
+
+    @property
+    def payload(self) -> bytes:
+        return _pack_message(self.kind, self.content)
 
 
 def index_bits(d: int) -> int:
@@ -139,18 +153,39 @@ def _to_signed(u: np.ndarray, width: int) -> np.ndarray:
     return np.where(s >= half, s - (np.int64(1) << width), s)
 
 
+def _pack_message(kind: MessageKind, content: Content) -> bytes:
+    """The version-1 stream of a message: tag byte, then its kind's layout."""
+    if kind is MessageKind.FLAG:
+        body = b"\x80"
+    elif kind is MessageKind.FULL:
+        body = content.astype(">f4").tobytes()
+    else:
+        b = content.grid.bits
+        codes = _to_unsigned(content.codes, b)
+        body = struct.pack(">f", content.grid.delta)
+        if kind is MessageKind.DENSE:
+            body += _pack_fields(codes, b)
+        else:
+            entries = (content.indices.astype(np.uint64) << np.uint64(b)) | codes
+            body += struct.pack(">I", content.nnz)
+            body += _pack_fields(entries, index_bits(content.dim) + b)
+    return bytes([_TAGS[kind]]) + body
+
+
+def _check_sendable(grid: QuantGrid) -> None:
+    """Codes must fit the wire's width and the scale must fit binary32
+    (``struct.pack`` raises ``OverflowError`` past it)."""
+    if grid.bits > FULL_PRECISION_BITS:
+        raise ValueError(
+            f"cannot encode codes wider than {FULL_PRECISION_BITS} bits, got {grid.bits}"
+        )
+    struct.pack(">f", grid.delta)
+
+
 def encode_dense(q: LowPrecisionVector) -> WireMessage:
     """Dense quantized vector: 32 + b*d counted bits."""
-    b = q.grid.bits
-    if b > 32:
-        raise ValueError(f"cannot encode codes wider than 32 bits, got {b}")
-    body = struct.pack(">f", q.grid.delta) + _pack_fields(_to_unsigned(q.codes, b), b)
-    return WireMessage(
-        kind=MessageKind.DENSE,
-        bits=dense_bits(q.dim, b),
-        payload=bytes([_TAGS[MessageKind.DENSE]]) + body,
-        content=q,
-    )
+    _check_sendable(q.grid)
+    return WireMessage(MessageKind.DENSE, dense_bits(q.dim, q.grid.bits), q)
 
 
 def encode_sparse(q: SparseLowPrecisionVector) -> WireMessage:
@@ -159,61 +194,30 @@ def encode_sparse(q: SparseLowPrecisionVector) -> WireMessage:
     The explicit entry count travels physically but is folded into the 32-bit
     header for accounting, so counted cost matches the closed formula.
     """
-    b = q.grid.bits
-    if b > 32:
-        raise ValueError(f"cannot encode codes wider than 32 bits, got {b}")
-    iw = index_bits(q.dim)
-    entry = (
-        (q.indices.astype(np.uint64) << np.uint64(b)) | _to_unsigned(q.codes, b)
-        if q.nnz
-        else np.zeros(0, dtype=np.uint64)
-    )
-    body = (
-        struct.pack(">f", q.grid.delta)
-        + struct.pack(">I", q.nnz)
-        + _pack_fields(entry, iw + b)
-    )
-    return WireMessage(
-        kind=MessageKind.SPARSE,
-        bits=sparse_bits(q.dim, q.nnz, b),
-        payload=bytes([_TAGS[MessageKind.SPARSE]]) + body,
-        content=q,
-    )
+    _check_sendable(q.grid)
+    return WireMessage(MessageKind.SPARSE, sparse_bits(q.dim, q.nnz, q.grid.bits), q)
 
 
 def encode_full(v) -> WireMessage:
     """Full-precision vector: 32*d counted bits, binary32 payload.
 
     A finite value that rounds past the binary32 range raises
-    ``OverflowError``, as ``struct.pack(">f", ...)`` does for the scale of a
-    quantized message, so the wire never carries an infinity the simulator
-    does not hold."""
+    ``OverflowError``, as the scale of a quantized message does, so the wire
+    never carries an infinity the simulator does not hold."""
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot encode non-finite values")
     with np.errstate(over="ignore"):
-        wire = arr.astype(">f4")
-    if not np.all(np.isfinite(wire)):
-        raise OverflowError("value too large for binary32")
-    body = wire.tobytes()
-    return WireMessage(
-        kind=MessageKind.FULL,
-        bits=full_bits(arr.size),
-        payload=bytes([_TAGS[MessageKind.FULL]]) + body,
-        content=arr,
-    )
+        if not np.all(np.isfinite(arr.astype(np.float32))):
+            raise OverflowError("value too large for binary32")
+    return WireMessage(MessageKind.FULL, full_bits(arr.size), arr)
 
 
 def encode_flag() -> WireMessage:
     """Snapshot flag: the receiver reuses its stored snapshot. One counted bit."""
-    return WireMessage(
-        kind=MessageKind.FLAG,
-        bits=flag_bits(),
-        payload=bytes([_TAGS[MessageKind.FLAG], 0x80]),
-        content=None,
-    )
+    return WireMessage(MessageKind.FLAG, flag_bits(), None)
 
 
 def _check_tag(payload: bytes, kind: MessageKind) -> bytes:
@@ -254,16 +258,15 @@ def decode_message(payload: bytes, d: int, b: Optional[int] = None) -> WireMessa
     if kind is None:
         raise ValueError(f"unknown format tag 0x{payload[0]:02x}")
     if kind is MessageKind.FLAG:
-        return WireMessage(kind, flag_bits(), payload, None)
+        return WireMessage(kind, flag_bits(), None)
     if kind is MessageKind.FULL:
-        return WireMessage(kind, full_bits(d), payload, decode_full(payload, d))
+        return WireMessage(kind, full_bits(d), decode_full(payload, d))
     if b is None:
         raise ValueError(f"{kind.value} decoding requires the code width b")
     if kind is MessageKind.DENSE:
-        q = decode_dense(payload, d, b)
-        return WireMessage(kind, dense_bits(d, b), payload, q)
+        return WireMessage(kind, dense_bits(d, b), decode_dense(payload, d, b))
     q = decode_sparse(payload, d, b)
-    return WireMessage(kind, sparse_bits(d, q.nnz, b), payload, q)
+    return WireMessage(kind, sparse_bits(d, q.nnz, b), q)
 
 
 @dataclass
@@ -302,9 +305,8 @@ class BitLedger:
         self.per_kind[kind] = (count + 1, total + bits)
         self.rows.append(LedgerRow(step, direction, kind, bits, self.total_bits))
 
-    def record_message(self, step: int, direction: str, msg: WireMessage,
-                       kind: Optional[str] = None) -> None:
-        self.record(step, direction, kind or msg.kind.value, msg.bits)
+    def record_message(self, step: int, direction: str, msg: WireMessage) -> None:
+        self.record(step, direction, msg.kind.value, msg.bits)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -34,6 +34,7 @@ from . import codec
 from .codec import BitLedger, MessageKind, WireMessage
 from .problems import CompositeProblem, gradient_mapping_norm
 from .quantizer import (
+    FULL_PRECISION_BITS,
     QuantConfig,
     SparseLowPrecisionVector,
     choose_bx,
@@ -65,8 +66,6 @@ __all__ = [
     "theory_rho",
     "momentum_weight",
 ]
-
-FULL_PRECISION_BITS = 32
 
 
 class Algorithm(str, enum.Enum):

@@ -30,10 +30,10 @@ __all__ = [
     "grid_for",
     "quantize_vector",
     "quantize_on_grid",
-    "dequantize",
     "expected_sq_error",
     "choose_bx",
     "mu_required",
+    "FULL_PRECISION_BITS",
 ]
 
 # Fractional parts within this distance of a code are rounded deterministically.
@@ -41,8 +41,9 @@ __all__ = [
 # reproduced exactly and hull extremes never dither.
 _SNAP_TOL = 1e-9
 
-# Widest grid; the codec packs codes of at most this many bits.
-_MAX_BITS = 32
+# Widest grid and the width of a binary32 value: the codec packs codes of at
+# most this many bits, and a message at this width is sent in full precision.
+FULL_PRECISION_BITS = 32
 
 
 def _as_vector(v, name: str = "v") -> np.ndarray:
@@ -177,10 +178,10 @@ class QuantConfig:
     mu: float
 
     def __post_init__(self):
-        if not 2 <= self.b_x <= _MAX_BITS:
-            raise ValueError(f"b_x must be in [2, {_MAX_BITS}], got {self.b_x}")
-        if not 2 <= self.b <= _MAX_BITS:
-            raise ValueError(f"b must be in [2, {_MAX_BITS}], got {self.b}")
+        if not 2 <= self.b_x <= FULL_PRECISION_BITS:
+            raise ValueError(f"b_x must be in [2, {FULL_PRECISION_BITS}], got {self.b_x}")
+        if not 2 <= self.b <= FULL_PRECISION_BITS:
+            raise ValueError(f"b must be in [2, {FULL_PRECISION_BITS}], got {self.b}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
@@ -231,11 +232,6 @@ def quantize_on_grid(
     return LowPrecisionVector(grid, (z + (u < frac)).astype(np.int64))
 
 
-def dequantize(q: LowPrecisionVector) -> np.ndarray:
-    """Inverse of the low-precision representation: ``codes * delta``."""
-    return q.decode()
-
-
 def expected_sq_error(v, grid: QuantGrid) -> float:
     """Exact expected squared rounding error of quantizing ``v`` on ``grid``.
 
@@ -278,10 +274,10 @@ def choose_bx(x, x_snapshot, mu: float, b_min: int = 2) -> int:
     if float(np.max(np.abs(x))) == 0.0:
         return b_min  # zero vector encodes exactly at any width
     budget = mu * diff_sq
-    for bits in range(b_min, _MAX_BITS + 1):
+    for bits in range(b_min, FULL_PRECISION_BITS + 1):
         if expected_sq_error(x, grid_for(x, bits)) <= budget:
             return bits
-    return _MAX_BITS
+    return FULL_PRECISION_BITS
 
 
 def mu_required(x, x_snapshot, b_x: int) -> float:

@@ -30,7 +30,7 @@ _ALGO = {"epochs": 2, "m": 40, "eta": 0.2, "b_x": 6, "b": 6, "mu": 0.1,
 _WORKERS = {"count": 3, "latency": {"kind": "uniform", "low": 1, "high": 4}}
 
 CASES = {
-    **{algo: ({"problem": _SYNTH, "algo": {**_ALGO, "algo": algo}})
+    **{algo: {"problem": _SYNTH, "algo": {**_ALGO, "algo": algo}}
        for algo in ("asylpg", "sparse_asylpg", "acc_asylpg", "asyfpg",
                     "acc_asyfpg", "qsvrg")},
     "asylpg_theory": {"problem": _SYNTH,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dqsim import codec
 from dqsim.codec import MessageKind
 from dqsim.optim import (
     Algorithm,
@@ -16,7 +17,6 @@ from dqsim.optim import (
 from dqsim.problems import CompositeProblem, logistic_problem, soft_threshold, synth_dataset
 from dqsim.quantizer import (
     choose_bx,
-    dequantize,
     expected_sq_error,
     grid_for,
     quantize_vector,
@@ -85,8 +85,8 @@ class TestWorkerStep:
         prob = logistic_problem(synth_dataset(12, 5, 3), 1e-4, 1e-3)
         rng = rng_of(4)
         snapshot = rng.normal(size=prob.d)
-        xq = dequantize(quantize_vector(snapshot + 0.3 * rng.normal(size=prob.d),
-                                        8, rng))
+        xq = quantize_vector(snapshot + 0.3 * rng.normal(size=prob.d),
+                             8, rng).decode()
         target = prob.full_grad(xq) - prob.full_grad(snapshot)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, b=6)
         n_draws = 40_000
@@ -105,8 +105,8 @@ class TestWorkerStep:
         prob = logistic_problem(synth_dataset(15, 4, 8), 1e-4, 1e-3)
         rng = rng_of(30)
         snapshot = rng.normal(size=prob.d)
-        xq = dequantize(quantize_vector(snapshot + 0.2 * rng.normal(size=prob.d),
-                                        8, rng))
+        xq = quantize_vector(snapshot + 0.2 * rng.normal(size=prob.d),
+                             8, rng).decode()
         alphas = [
             prob.grad_sample(i, xq) - prob.grad_sample(i, snapshot)
             for i in range(prob.n)
@@ -392,6 +392,26 @@ class TestCommunicationAccounting:
                          track_grad_mapping=False)
         res = run_training(prob, cfg)
         assert res.violations > 0
+
+
+class TestWireBytes:
+    @pytest.mark.parametrize("execution", ["simulated", "threads"])
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_training_never_packs_a_payload(self, algo, execution, monkeypatch):
+        # the ledger charges counted bits and the master consumes typed
+        # values, so a run has no reader for wire bytes; both the message
+        # packer and the code-field packer it calls are refused
+        def refuse(*args):
+            raise AssertionError("a training run packed a wire payload")
+
+        monkeypatch.setattr(codec, "_pack_fields", refuse)
+        monkeypatch.setattr(codec, "_pack_message", refuse)
+        prob = logistic_problem(synth_dataset(60, 12, 4), 1e-4, 1e-3)
+        cfg = AlgoConfig(algo=algo, epochs=2, m=10, eta=0.2, b_x=4, b=6,
+                         tau=2, seed=5, batch_size=2, execution=execution)
+        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(3)]
+        res = run_training(prob, cfg, workers)
+        assert len(res.metrics) == 20 and res.ledger.total_bits > 0
 
 
 class TestConfigValidation:

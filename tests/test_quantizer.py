@@ -6,7 +6,6 @@ from dqsim.quantizer import (
     QuantConfig,
     QuantGrid,
     choose_bx,
-    dequantize,
     expected_sq_error,
     grid_for,
     mu_required,
@@ -58,13 +57,13 @@ class TestQuantizeVector:
         q = quantize_vector([1.0, -1.0], 8, rng_of(5))
         assert q.grid.delta == 1.0 / 127.0
         assert q.codes.tolist() == [127, -127]
-        np.testing.assert_array_equal(dequantize(q), [1.0, -1.0])
+        np.testing.assert_array_equal(q.decode(), [1.0, -1.0])
 
     def test_zero_vector_degenerate_encoding(self):
         q = quantize_vector([0.0, 0.0, 0.0], 4, rng_of(6))
         assert q.grid.delta == 0.0
         assert q.codes.tolist() == [0, 0, 0]
-        np.testing.assert_array_equal(dequantize(q), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(q.decode(), [0.0, 0.0, 0.0])
 
     def test_three_bit_example_distribution(self):
         # delta = 0.6/3 = 0.2; 0.3 sits halfway between codes 1 and 2
@@ -84,18 +83,18 @@ class TestQuantizeVector:
         for _ in range(200):
             v = rng.normal(size=rng.integers(1, 30))
             q = quantize_vector(v, int(rng.integers(2, 12)), rng)
-            assert np.max(np.abs(dequantize(q) - v)) <= q.grid.delta + 1e-15
+            assert np.max(np.abs(q.decode() - v)) <= q.grid.delta + 1e-15
 
     def test_idempotent_on_grid_vectors(self):
         rng = rng_of(9)
         for _ in range(100):
             v = rng.normal(size=10)
             q = quantize_vector(v, 5, rng)
-            v_grid = dequantize(q)
+            v_grid = q.decode()
             if not np.any(v_grid):
                 continue
             q2 = quantize_vector(v_grid, 5, rng)
-            np.testing.assert_array_equal(dequantize(q2), v_grid)
+            np.testing.assert_array_equal(q2.decode(), v_grid)
 
     def test_unbiased_within_four_standard_errors(self):
         n = 100_000
