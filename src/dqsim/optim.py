@@ -77,6 +77,10 @@ class Algorithm(str, enum.Enum):
     QSVRG = "qsvrg"
 
 
+# Recorded iterates evaluated together as one block of metric columns; the
+# buffer holds at most this many iterates of dimension d.
+_METRIC_BLOCK = 32
+
 _ACCELERATED = {Algorithm.ACC_ASYLPG, Algorithm.ACC_ASYFPG}
 _MODEL_QUANTIZED = {Algorithm.ASYLPG, Algorithm.SPARSE_ASYLPG, Algorithm.ACC_ASYLPG}
 _GRAD_QUANTIZED = _MODEL_QUANTIZED | {Algorithm.QSVRG}
@@ -176,6 +180,56 @@ class RunResult:
             if row["train_loss"] is not None:
                 return row["train_loss"]
         return math.nan
+
+
+class _MetricColumns:
+    """The iterates the metrics read, evaluated after the fact in blocks.
+
+    Row ``t``'s ``grad_mapping_sq`` is taken at its pre-update iterate and
+    its ``train_loss`` at its post-update iterate, which within an epoch is
+    row ``t + 1``'s pre-update iterate, so one column serves both. Columns
+    are buffered until ``_METRIC_BLOCK`` of them are held, or the epoch (and
+    with it ``eta``) ends, and their values land in ``losses`` and
+    ``gmaps``, indexed by row. Neither value feeds back into the run.
+    """
+
+    def __init__(self, problem: CompositeProblem, rows: int):
+        self.problem = problem
+        self.losses: list[Optional[float]] = [None] * rows
+        self.gmaps: list[Optional[float]] = [None] * rows
+        self._columns: list[tuple[np.ndarray, Optional[int], Optional[int]]] = []
+
+    def add(self, x: np.ndarray, eta: float, loss_row: Optional[int],
+            gmap_row: Optional[int]) -> None:
+        """Record ``x`` as the loss of ``loss_row`` and the gradient mapping
+        at ``eta`` of ``gmap_row``; either may be None, and with both None
+        nothing is kept."""
+        if loss_row is None and gmap_row is None:
+            return
+        self._columns.append((x.copy(), loss_row, gmap_row))
+        if len(self._columns) >= _METRIC_BLOCK:
+            self.flush(eta)
+
+    def flush(self, eta: float) -> None:
+        """Evaluate every buffered column at ``eta``."""
+        columns, self._columns = self._columns, []
+        if not columns:
+            return
+        xs = [x for x, _, _ in columns]
+        with_gmap = any(g is not None for _, _, g in columns)
+        values = self.problem.metric_block(xs, eta if with_gmap else None)
+        if values is None:  # per iterate; the dataset memo shares A @ x
+            values = [
+                (self.problem.objective(x) if loss is not None else None,
+                 gradient_mapping_norm(self.problem, x, eta)
+                 if gmap is not None else None)
+                for x, loss, gmap in columns
+            ]
+        for (_, loss_row, gmap_row), (loss, gmap) in zip(columns, values):
+            if loss_row is not None:
+                self.losses[loss_row] = loss
+            if gmap_row is not None:
+                self.gmaps[gmap_row] = gmap
 
 
 def make_streams(seed: int, n_workers: int):
@@ -446,7 +500,6 @@ def run_training(
     broadcasts: list[dict] = []
     violations = 0
     search_failures = 0
-    min_gmap: Optional[float] = None
     iterate_trace: list = []
 
     # Output candidates are the pre-update iterates; draw the uniform index
@@ -454,9 +507,17 @@ def run_training(
     total_T = cfg.epochs * cfg.m
     pick = int(output_rng.integers(0, total_T))
     picked_iterate: Optional[np.ndarray] = None
+    columns = _MetricColumns(problem, total_T)
 
     def global_t() -> int:
         return state.s * cfg.m + state.t
+
+    def gmap_row(t: int) -> Optional[int]:
+        """Row ``t`` of this epoch when it records a gradient mapping."""
+        gt = state.s * cfg.m + t
+        if t < cfg.m and cfg.track_grad_mapping and gt % cfg.metric_every == 0:
+            return gt
+        return None
 
     for s_epoch in range(cfg.epochs):
         state.s = s_epoch
@@ -481,6 +542,7 @@ def run_training(
             state.eta = etas[s_epoch]
             state.x = state.snapshot.copy()
 
+        columns.add(state.x, state.eta, None, gmap_row(0))
         mu_scale = state.theta if accelerated else 1.0
 
         def model_step(worker_id: int, version: int):
@@ -532,15 +594,11 @@ def run_training(
             ledger.record_message(global_t(), "up", task.grad_msg)
 
         def apply_result(t: int, task: _TaskMeta, record: StalenessRecord):
-            nonlocal min_gmap, picked_iterate
+            nonlocal picked_iterate
             state.t = t
             gt = global_t()
             if gt == pick:
                 picked_iterate = state.x.copy()
-            gmap = None
-            if cfg.track_grad_mapping and gt % cfg.metric_every == 0:
-                gmap = gradient_mapping_norm(problem, state.x, state.eta)
-                min_gmap = gmap if min_gmap is None else min(min_gmap, gmap)
 
             u = _decode_gradient(task.grad_msg) + state.snapshot_grad
             if accelerated:
@@ -550,6 +608,8 @@ def run_training(
             else:
                 state.x = problem.prox(state.eta, state.x - state.eta * u)
             state.t = t + 1
+            columns.add(state.x, state.eta,
+                        gt if gt % cfg.metric_every == 0 else None, gmap_row(t + 1))
             if cfg.trace_iterates:
                 iterate_trace.append(
                     (state.x.copy(),
@@ -564,9 +624,8 @@ def run_training(
                 "D_t": record.version,
                 "staleness": record.staleness,
                 "worker_id": record.worker_id,
-                "train_loss": problem.objective(state.x)
-                if gt % cfg.metric_every == 0 else None,
-                "grad_mapping_sq": gmap,
+                "train_loss": None,  # filled from the metric columns
+                "grad_mapping_sq": None,
                 "cumulative_bits": ledger.total_bits,
                 "mu_required": task.mu_req,
                 "b_x_used": task.b_x_used,
@@ -595,11 +654,16 @@ def run_training(
                 latency_rngs, on_arrival=on_arrival,
             )
 
+        columns.flush(state.eta)
         if accelerated:
             state.snapshot = state.x_sum / cfg.m
         else:
             state.snapshot = state.x.copy()
 
+    for row, loss, gmap in zip(metrics, columns.losses, columns.gmaps):
+        row["train_loss"] = loss
+        row["grad_mapping_sq"] = gmap
+    gmaps = [g for g in columns.gmaps if g is not None]
     if accelerated:
         output = state.snapshot.copy()
     else:
@@ -616,7 +680,7 @@ def run_training(
         final_snapshot=state.snapshot.copy(),
         violations=violations,
         search_failures=search_failures,
-        min_grad_mapping_sq=min_gmap,
+        min_grad_mapping_sq=min(gmaps) if gmaps else None,
         eta_used=etas if accelerated else etas[0],
         iterate_trace=iterate_trace,
     )

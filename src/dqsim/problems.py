@@ -12,11 +12,19 @@ run on a dense copy when ``n * d <= _DENSE_CACHE_LIMIT`` and on the CSR arrays
 otherwise. The logistic kernels use only those products; the MLP reads the
 dense copy directly.
 
+``LogisticProblem.metric_block`` evaluates the objective and the gradient
+mapping of a block of iterates on the dense copy with two matrix-matrix
+products, so each iterate's value is rounded as a GEMM column, not as the
+matrix-vector product ``objective`` and ``gradient_mapping_norm`` take.
+
 ``Dataset.dot`` also remembers its last whole-matrix product ``A @ x``, keyed
-on the bytes of ``x``, so the loss after one update and the gradient mapping
-before the next compute the margins of that iterate once. That one entry is
-the only state a dataset or problem changes after construction; it is written
-as a single tuple, so a thread reads either the old entry or the new one.
+on the bytes of ``x``. Two callers still read each iterate twice, once for
+the objective and once for the gradient mapping: the full-batch oracle that
+sets loss targets, and the per-iterate metric evaluation that CSR datasets
+and the MLP fall back to. With the memo they compute the margins of that
+iterate once. That one entry is the only state a dataset or problem changes
+after construction; it is written as a single tuple, so a thread reads
+either the old entry or the new one.
 """
 
 from __future__ import annotations
@@ -172,9 +180,6 @@ class CompositeProblem:
     def objective(self, x: np.ndarray) -> float:
         return self.f_value(x) + self.h_value(x)
 
-    def grad_sample(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def grad_batch(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Mean per-sample gradient over an index batch."""
         raise NotImplementedError
@@ -186,6 +191,12 @@ class CompositeProblem:
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_range_sum(0, self.n, x) / self.n
+
+    def metric_block(self, xs: list[np.ndarray], eta: float | None):
+        """``(objective, gradient_mapping_norm at eta)`` per iterate in
+        ``xs`` in one pass, or None where this problem has no faster way
+        than evaluating each iterate on its own."""
+        return None
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -222,8 +233,11 @@ class LogisticProblem(CompositeProblem):
 
     def f_value(self, x: np.ndarray) -> float:
         margins = self.y * self.data.dot(x)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        return loss + 0.5 * self.lambda2 * float(x @ x)
+        return self._f(np.logaddexp(0.0, -margins), x)
+
+    def _f(self, losses: np.ndarray, x: np.ndarray) -> float:
+        """f at x from its per-sample losses log(1 + exp(-margin))."""
+        return float(np.mean(losses)) + 0.5 * self.lambda2 * float(x @ x)
 
     def h_value(self, x: np.ndarray) -> float:
         return self.lambda1 * float(np.sum(np.abs(x)))
@@ -231,15 +245,6 @@ class LogisticProblem(CompositeProblem):
     def _coeffs(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
         # d/dm log(1+exp(-m)) = -sigmoid(-m), chain rule through m = y a.x
         return -y * self._sigmoid_neg(margins)
-
-    def grad_sample(self, i: int, x: np.ndarray) -> np.ndarray:
-        lo, hi = self.data.indptr[i], self.data.indptr[i + 1]
-        idx, vals = self.data.indices[lo:hi], self.data.values[lo:hi]
-        margin = self.y[i] * float(vals @ x[idx])
-        c = float(self._coeffs(np.asarray(margin), self.y[i]))
-        g = self.lambda2 * x.copy()
-        g[idx] += c * vals
-        return g
 
     def _loss_grad_sum(self, rows, x: np.ndarray) -> np.ndarray:
         """Sum over A[rows] of the per-sample loss gradients, L2 term left out."""
@@ -253,6 +258,45 @@ class LogisticProblem(CompositeProblem):
 
     def grad_range_sum(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         return self._loss_grad_sum(slice(lo, hi), x) + (hi - lo) * self.lambda2 * x
+
+    def metric_block(self, xs: list[np.ndarray], eta: float | None):
+        """``(objective(x), gradient_mapping_norm(self, x, eta))`` for each
+        iterate ``x`` in ``xs``, from two matrix-matrix products on the
+        dense copy; the second is None when ``eta`` is None. Returns None
+        when the dataset runs on CSR, where a block saves nothing.
+
+        Both products keep the iterate index on the column side, with the
+        iterates as a column-major operand, so that a column rounds the same
+        at any block width. A single iterate is evaluated as two copies,
+        because a one-column product takes the matrix-vector path and rounds
+        differently. Each iterate's reductions run on its own 1-D arrays, as
+        in the per-iterate calls, which the values match up to rounding.
+        """
+        A = self.data._dense_cache()
+        if A is None:
+            return None
+        stacked = np.array(xs if len(xs) > 1 else xs * 2)  # row j is xs[j]
+        G = A @ stacked.T
+        C = np.zeros_like(G.T)
+        objectives = []
+        for j, x in enumerate(xs):
+            margins = self.y * G[:, j]
+            # log(1 + exp(-+m)) = max(-+m, 0) + log1p(exp(-|m|)): the loss
+            # and sigmoid(-m) = exp(-log(1 + exp(m))) share one vectorized
+            # pass, where logaddexp would take two scalar ones
+            soft = np.log1p(np.exp(-np.abs(margins)))
+            objectives.append(self._f(np.maximum(-margins, 0.0) + soft, x)
+                              + self.h_value(x))
+            C[j] = -self.y * np.exp(-(np.maximum(margins, 0.0) + soft))
+        if eta is None:
+            return [(obj, None) for obj in objectives]
+        S = A.T @ C.T  # column j is the loss-gradient sum at xs[j]
+        out = []
+        for j, x in enumerate(xs):
+            grad = (S[:, j] + self.n * self.lambda2 * x) / self.n
+            g = _mapping(self, x, eta, grad)
+            out.append((objectives[j], float(g @ g)))
+        return out
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         out = soft_threshold(v, eta * self.lambda1)
@@ -336,9 +380,6 @@ class MLPProblem(CompositeProblem):
         flat = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
         return flat + rows.shape[0] * self.lambda2 * x
 
-    def grad_sample(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self._grad_rows(self._X[i:i + 1], self.targets[i:i + 1], x)
-
     def grad_batch(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
         return self._grad_rows(self._X[idx], self.targets[idx], x) / idx.size
@@ -370,7 +411,13 @@ def gradient_mapping(problem: CompositeProblem, x: np.ndarray,
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    return (x - problem.prox(eta, x - eta * problem.full_grad(x))) / eta
+    return _mapping(problem, x, eta, problem.full_grad(x))
+
+
+def _mapping(problem: CompositeProblem, x: np.ndarray, eta: float,
+             grad: np.ndarray) -> np.ndarray:
+    """The gradient mapping at x, given grad f(x)."""
+    return (x - problem.prox(eta, x - eta * grad)) / eta
 
 
 def gradient_mapping_norm(problem: CompositeProblem, x: np.ndarray,

@@ -7,7 +7,11 @@ is being checked against them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from dqsim.problems import LogisticProblem, MLPProblem
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -18,6 +22,44 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
+
+
+def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
+    """Gradient at x of sample i's smooth loss, L2 term included, for a
+    logistic or MLP problem; the program itself has no per-sample gradient.
+
+    Logistic: log(1 + exp(-y_i <a_i, x>)) has gradient -y_i sigmoid(-m) a_i
+    at margin m = y_i <a_i, x>, read from row i's CSR entries. MLP: softmax
+    cross-entropy backpropagated by hand through one row.
+    """
+    if isinstance(problem, LogisticProblem):
+        data = problem.data
+        lo, hi = data.indptr[i], data.indptr[i + 1]
+        idx, vals = data.indices[lo:hi], data.values[lo:hi]
+        y = 1.0 if data.labels[i] > 0 else -1.0
+        margin = y * float(vals @ x[idx])
+        sigmoid_neg = 0.5 * (1.0 - math.tanh(0.5 * margin))  # 1 / (1 + e^m)
+        g = problem.lambda2 * x.copy()
+        g[idx] += -y * sigmoid_neg * vals
+        return g
+    if isinstance(problem, MLPProblem):
+        h, c, d_in = problem.hidden, problem.num_classes, problem.d_in
+        w1 = x[:h * d_in].reshape(h, d_in)
+        b1 = x[h * d_in:h * d_in + h]
+        w2 = x[h * d_in + h:h * d_in + h + c * h].reshape(c, h)
+        b2 = x[h * d_in + h + c * h:]
+        a = problem.data.dense()[i]
+        z1 = w1 @ a + b1
+        a1 = np.maximum(z1, 0.0)
+        logits = w2 @ a1 + b2
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        p[int(problem.data.labels[i])] -= 1.0  # d loss / d logits
+        back = (w2.T @ p) * (z1 > 0.0)
+        flat = np.concatenate([np.outer(back, a).ravel(), back,
+                               np.outer(p, a1).ravel(), p])
+        return flat + problem.lambda2 * x
+    raise TypeError(f"no per-sample oracle for {type(problem).__name__}")
 
 
 def prox_bruteforce_1d(value: float, eta: float, lambda1: float,

@@ -423,7 +423,7 @@ def test_criterion_11_mlp_gradient_check():
             return float(log_z[0] - logits[0, prob.targets[i]]) + \
                 0.5 * prob.lambda2 * float(z @ z)
 
-        g = prob.grad_sample(i, x)
+        g = prob.grad_batch(np.array([i]), x)
         fd = finite_diff_grad(f_i, x, h=1e-6)
         rel = float(np.max(np.abs(g - fd)) / max(1.0, float(np.max(np.abs(g)))))
         worst = max(worst, rel)

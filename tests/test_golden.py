@@ -47,35 +47,35 @@ CASES = {
 #        repr(final_loss))
 GOLDEN = {
     'acc_asyfpg': (
-        '0cd17d706cab17875474a0cd26d4dd403d63e4dab66cf8cfb862c4622bc600f8',
+        '95ffb0270da500f3a5eddfa74b984e88aef3113817ce6d3ba89535fc87057ec1',
         '354d7afedddab5269e0a3c1c60264d6a8ddb586b3206d6f559b62acae8845368',
         'bc190e96eeafd4edc7f517dc51da5162871a92956b93f6fb0ab5ad471ca05ec9',
         116480,
         '0.5236550354219801',
     ),
     'acc_asylpg': (
-        'a67fd84ddfbf6eda1e5bd470839675f73852e860acc842e0e12b25f01d3e2fbc',
+        '64342a7b645bfcf8fa820e8ea6cb76106237b9cedbef7b2e7acd741c990582c9',
         'b980bf43ffbcb947649d4226de239c0c5e94be4b45a72e8fd974c43914307a56',
         '8d37131d3137c3b8a40a208935820c7352dca55d540920a2a9bbee939017fcc0',
         33067,
         '0.5236363792818363',
     ),
     'asyfpg': (
-        '5cd8876ca0e045738b404bbb05fc64b920a3b4c9fbe7468549b771d4529d5a25',
+        'a52df0a42fc1e867af9db3b553d4c9c8193da98f5ba5d927f9373ae9c7492f56',
         '354d7afedddab5269e0a3c1c60264d6a8ddb586b3206d6f559b62acae8845368',
         'bc190e96eeafd4edc7f517dc51da5162871a92956b93f6fb0ab5ad471ca05ec9',
         116480,
-        '0.5244892372115176',
+        '0.5244892372115177',
     ),
     'asylpg': (
-        '48ce88011c33bd1419a704ba58bf46e61c111f4176e6807da9ab71fdf6dc3e6c',
+        'cca927e023d1ede0a92ae7c46655a1d52c7ebd9ec79371853d0f52fe5751f809',
         '07d505875172417e0acffd5f6f6a977fe53551a5b04fcc1139350ef76ac67310',
         '8d37131d3137c3b8a40a208935820c7352dca55d540920a2a9bbee939017fcc0',
         32754,
         '0.5244949662522178',
     ),
     'asylpg_theory': (
-        '0a9eadab6f06e98ac7687720ee22235a296859bf68962534c0ace987e637e5ff',
+        '3df414150d92635b8e1a4efda3c2342fcd4d9d9dcd3cb2cdc77b757059cc0075',
         'a0ed36103a8b2c47595eebaaa24a3ca2ee98def66f418322abc263b003929429',
         '8d37131d3137c3b8a40a208935820c7352dca55d540920a2a9bbee939017fcc0',
         32734,
@@ -96,14 +96,14 @@ GOLDEN = {
         '1.078702672726094',
     ),
     'qsvrg': (
-        'd756318a6f83b98a407944fa21dcbf865754bb5583f3b25b9fbaf137ef417287',
+        '810074807b7a7188ef0ff41b24f47bfc12cc2126e1d2027dbb77b54e0c5c6223',
         '0ba1edc5e7ffced14fd4c3d9c0569eea27db3f7a3f2e125fce40d3ea6eca7d67',
         '8d37131d3137c3b8a40a208935820c7352dca55d540920a2a9bbee939017fcc0',
         75488,
         '0.5244576573188952',
     ),
     'sparse_asylpg': (
-        'a4a1b54e385288d24bc7e777487a5f8943c8daab2e1ef2e4163135f5c8ab36c5',
+        'bf0d6036ac71f9ad761a8e8fa87430b064f238173add0ae47f2f93a15c86f336',
         'dd7a0cb449cd909e9ff82cc7992a05d1528878235e0d6b53ca4b3c45e0abb4e6',
         'fec7c314e69bc28933030c205b110d0d3f5198bd98ff4ba077c2ac9191b0c0fb',
         29111,

@@ -55,9 +55,6 @@ class ShiftedQuad(CompositeProblem):
     def h_value(self, x):
         return 0.0
 
-    def grad_sample(self, i, x):
-        return x - 1.0
-
     def grad_batch(self, idx, x):
         return x - 1.0
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dqsim import codec
+from dqsim import codec, optim
 from dqsim.codec import MessageKind
+from dqsim.harness import parse_config, run_experiment
 from dqsim.optim import (
     Algorithm,
     AlgoConfig,
@@ -14,7 +15,14 @@ from dqsim.optim import (
     gradient_message,
     model_message,
 )
-from dqsim.problems import CompositeProblem, logistic_problem, soft_threshold, synth_dataset
+from dqsim.problems import (
+    CompositeProblem,
+    LogisticProblem,
+    gradient_mapping_norm,
+    logistic_problem,
+    soft_threshold,
+    synth_dataset,
+)
 from dqsim.quantizer import (
     choose_bx,
     expected_sq_error,
@@ -23,7 +31,7 @@ from dqsim.quantizer import (
 )
 from dqsim.simnet import UniformLatency, WorkerSpec
 
-from oracles import serial_prox_svrg
+from oracles import grad_sample, serial_prox_svrg
 
 
 def rng_of(seed=0):
@@ -42,9 +50,6 @@ class QuadProblem(CompositeProblem):
 
     def h_value(self, x):
         return self.lambda1 * float(np.sum(np.abs(x)))
-
-    def grad_sample(self, i, x):
-        return x.copy()
 
     def grad_batch(self, idx, x):
         return x.copy()
@@ -108,7 +113,7 @@ class TestWorkerStep:
         xq = quantize_vector(snapshot + 0.2 * rng.normal(size=prob.d),
                              8, rng).decode()
         alphas = [
-            prob.grad_sample(i, xq) - prob.grad_sample(i, snapshot)
+            grad_sample(prob, i, xq) - grad_sample(prob, i, snapshot)
             for i in range(prob.n)
         ]
         u_mean = np.mean(alphas, axis=0) + prob.full_grad(snapshot)
@@ -412,6 +417,96 @@ class TestWireBytes:
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(3)]
         res = run_training(prob, cfg, workers)
         assert len(res.metrics) == 20 and res.ledger.total_bits > 0
+
+
+class TestMetricColumns:
+    """train_loss and grad_mapping_sq are evaluated after the fact, in
+    blocks of recorded iterates."""
+
+    @pytest.mark.parametrize("shape", [(300, 20), (5000, 300)])
+    @pytest.mark.parametrize("algo,metric_every", [("asylpg", 1),
+                                                   ("acc_asylpg", 1),
+                                                   ("asylpg", 3)])
+    def test_metrics_do_not_depend_on_block_size(self, shape, algo,
+                                                 metric_every, tmp_path,
+                                                 monkeypatch):
+        # m=32 records 33 iterates per epoch: blocks of 32 and of 2 leave a
+        # one-iterate tail, blocks of 5 a three-iterate one
+        n, d = shape
+        raw = {"problem": {"kind": "synth_logistic", "n": n, "d": d, "seed": 2,
+                           "lambda1": 1e-3, "lambda2": 1e-3},
+               "algo": {"algo": algo, "epochs": 2, "m": 32, "eta": 0.3,
+                        "tau": 2, "batch_size": 4, "seed": 3,
+                        "metric_every": metric_every},
+               "workers": {"count": 2, "latency": {"kind": "fixed", "ticks": 1}}}
+        outputs = set()
+        for block in (2, 5, 32):
+            monkeypatch.setattr(optim, "_METRIC_BLOCK", block)
+            out = tmp_path / str(block)
+            report = run_experiment(parse_config(
+                {**raw, "run": {"out_dir": str(out), "loss_target": None}}))
+            outputs.add(((out / "metrics.csv").read_bytes(),
+                         report.min_grad_mapping_sq))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize("box", [None, 0.05])
+    def test_block_matches_per_iterate_calls(self, width, box):
+        prob = logistic_problem(synth_dataset(200, 30, 6), 0.02, 1e-3,
+                                box_radius=box)
+        rng = rng_of(7)
+        xs = [rng.normal(scale=0.2, size=prob.d) for _ in range(width)]
+        for eta in (0.1, 2.0):
+            block = prob.metric_block(xs, eta)
+            assert len(block) == width
+            for x, (loss, gmap) in zip(xs, block):
+                assert loss == pytest.approx(prob.objective(x), rel=1e-12)
+                assert gmap == pytest.approx(
+                    gradient_mapping_norm(prob, x, eta), rel=1e-12)
+        assert [g for _, g in prob.metric_block(xs, None)] == [None] * width
+
+    @pytest.mark.parametrize("algo", [Algorithm.ASYLPG, Algorithm.ACC_ASYLPG])
+    @pytest.mark.parametrize("box", [None, 0.05])
+    def test_run_matches_per_iterate_evaluation(self, algo, box, monkeypatch):
+        # the momentum variant's step size changes every epoch; with the
+        # block method taken away the run evaluates per iterate
+        prob = logistic_problem(synth_dataset(150, 25, 8), 0.02, 1e-3,
+                                box_radius=box)
+        cfg = AlgoConfig(algo=algo, epochs=3, m=20, eta=0.2, b_x=6, b=6,
+                         tau=2, seed=9, batch_size=3)
+        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        blocked = run_training(prob, cfg, workers)
+        monkeypatch.setattr(LogisticProblem, "metric_block",
+                            lambda self, xs, eta: None)
+        per_iterate = run_training(prob, cfg, workers)
+        assert len(blocked.metrics) == len(per_iterate.metrics) == 60
+        for row, ref in zip(blocked.metrics, per_iterate.metrics):
+            for key in ("train_loss", "grad_mapping_sq"):
+                assert row[key] == pytest.approx(ref[key], rel=1e-12)
+            rest = {k: v for k, v in row.items()
+                    if k not in ("train_loss", "grad_mapping_sq")}
+            assert rest == {k: ref[k] for k in rest}
+        assert blocked.min_grad_mapping_sq == pytest.approx(
+            per_iterate.min_grad_mapping_sq, rel=1e-12)
+        assert blocked.ledger.total_bits == per_iterate.ledger.total_bits
+
+    @pytest.mark.parametrize("execution", ["simulated", "threads"])
+    def test_dense_run_makes_no_per_iterate_metric_call(self, execution,
+                                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a metric was evaluated per iterate")
+
+        monkeypatch.setattr(CompositeProblem, "objective", refuse)
+        monkeypatch.setattr(optim, "gradient_mapping_norm", refuse)
+        prob = logistic_problem(synth_dataset(80, 10, 4), 1e-3, 1e-3)
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
+                         tau=2, seed=5, batch_size=2, execution=execution)
+        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        res = run_training(prob, cfg, workers)
+        assert all(row["train_loss"] is not None and
+                   row["grad_mapping_sq"] is not None for row in res.metrics)
+        assert res.min_grad_mapping_sq == min(
+            row["grad_mapping_sq"] for row in res.metrics)
 
 
 class TestConfigValidation:

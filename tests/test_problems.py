@@ -18,7 +18,7 @@ from dqsim.problems import (
     write_libsvm,
 )
 
-from oracles import finite_diff_grad, prox_bruteforce
+from oracles import finite_diff_grad, grad_sample, prox_bruteforce
 
 
 def rng_of(seed=0):
@@ -55,14 +55,14 @@ class TestLogistic:
                 )
                 return np.logaddexp(0.0, -margin) + 0.5 * prob.lambda2 * float(z @ z)
 
-            g = prob.grad_sample(i, x)
+            g = grad_sample(prob, i, x)
             fd = finite_diff_grad(f_i, x)
             assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
     def test_full_grad_is_mean_of_samples(self):
         prob = small_logistic(n=15)
         x = rng_of(3).normal(size=prob.d)
-        mean = np.mean([prob.grad_sample(i, x) for i in range(prob.n)], axis=0)
+        mean = np.mean([grad_sample(prob, i, x) for i in range(prob.n)], axis=0)
         np.testing.assert_allclose(prob.full_grad(x), mean, atol=1e-13)
 
     def test_grad_batch_is_batch_mean(self):
@@ -70,13 +70,13 @@ class TestLogistic:
         rng = rng_of(4)
         x = rng.normal(size=prob.d)
         idx = rng.integers(0, prob.n, size=6)
-        mean = np.mean([prob.grad_sample(i, x) for i in idx], axis=0)
+        mean = np.mean([grad_sample(prob, i, x) for i in idx], axis=0)
         np.testing.assert_allclose(prob.grad_batch(idx, x), mean, atol=1e-13)
 
     def test_sample_unbiasedness_by_enumeration(self):
         prob = small_logistic(n=12)
         x = rng_of(5).normal(size=prob.d)
-        enumerated = sum(prob.grad_sample(i, x) for i in range(prob.n)) / prob.n
+        enumerated = sum(grad_sample(prob, i, x) for i in range(prob.n)) / prob.n
         np.testing.assert_allclose(enumerated, prob.full_grad(x), atol=1e-13)
 
     def test_smoothness_bound_holds(self):
@@ -86,7 +86,7 @@ class TestLogistic:
         for _ in range(100):
             i = int(rng.integers(0, prob.n))
             x, y = rng.normal(size=prob.d), rng.normal(size=prob.d)
-            lhs = np.linalg.norm(prob.grad_sample(i, x) - prob.grad_sample(i, y))
+            lhs = np.linalg.norm(grad_sample(prob, i, x) - grad_sample(prob, i, y))
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-9)
 
     def test_prox_is_soft_threshold(self):
@@ -243,9 +243,6 @@ class _Quad1D(CompositeProblem):
     def h_value(self, x):
         return 0.0
 
-    def grad_sample(self, i, x):
-        return x.copy()
-
     def grad_batch(self, idx, x):
         return x.copy()
 
@@ -269,9 +266,6 @@ class _Lasso1D(CompositeProblem):
 
     def h_value(self, x):
         return self.lam * abs(float(x[0]))
-
-    def grad_sample(self, i, x):
-        return x - 1.0
 
     def grad_batch(self, idx, x):
         return x - 1.0
@@ -421,7 +415,7 @@ class TestMLP:
                 picked = logits[0, prob.targets[i]]
                 return float(log_z[0] - picked) + 0.5 * prob.lambda2 * float(z @ z)
 
-            g = prob.grad_sample(i, x)
+            g = prob.grad_batch(np.array([i]), x)
             fd = finite_diff_grad(f_i, x, h=1e-6)
             denom = max(1.0, float(np.max(np.abs(g))))
             assert np.max(np.abs(g - fd)) / denom < 1e-4
@@ -429,7 +423,7 @@ class TestMLP:
     def test_full_grad_is_mean_of_samples(self):
         prob = self.make(n=8)
         x = prob.init_params(3)
-        mean = np.mean([prob.grad_sample(i, x) for i in range(prob.n)], axis=0)
+        mean = np.mean([grad_sample(prob, i, x) for i in range(prob.n)], axis=0)
         np.testing.assert_allclose(prob.full_grad(x), mean, atol=1e-12)
 
     def test_one_step_descends(self):
