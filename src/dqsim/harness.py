@@ -243,10 +243,11 @@ def oracle_best_loss(problem: CompositeProblem, iters: int = 2000) -> float:
     else:
         eta = 0.1
     x = np.zeros(problem.d)
-    best = problem.objective(x)
+    best, grad = problem.objective_and_grad(x)
     for _ in range(iters):
-        x = problem.prox(eta, x - eta * problem.full_grad(x))
-        best = min(best, problem.objective(x))
+        x = problem.prox(eta, x - eta * grad)
+        loss, grad = problem.objective_and_grad(x)
+        best = min(best, loss)
     return best
 
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import codec
 from .codec import BitLedger, MessageKind, WireMessage
-from .problems import CompositeProblem, gradient_mapping_norm
+# gradient_mapping_norm has no caller here; perfbench/spans.py wraps this name
+from .problems import CompositeProblem, gradient_mapping_norm  # noqa: F401
 from .quantizer import (
     FULL_PRECISION_BITS,
     QuantConfig,
@@ -107,7 +108,6 @@ class AlgoConfig:
     mu_probe_widths: tuple[int, ...] = ()  # extra widths to log mu_required at
     metric_every: int = 1
     track_grad_mapping: bool = True
-    trace_iterates: bool = False  # keep post-update iterates (diagnostics)
     execution: str = "simulated"  # "simulated" (deterministic) or "threads"
 
     def __post_init__(self):
@@ -172,7 +172,6 @@ class RunResult:
     search_failures: int  # width searches that exhausted all widths
     min_grad_mapping_sq: Optional[float]
     eta_used: float | list[float]
-    iterate_trace: list  # (x, y) post-update copies when trace_iterates is on
 
     @property
     def final_loss(self) -> float:
@@ -211,20 +210,14 @@ class _MetricColumns:
             self.flush(eta)
 
     def flush(self, eta: float) -> None:
-        """Evaluate every buffered column at ``eta``."""
+        """Evaluate every buffered column at ``eta``; a column that feeds no
+        gradient mapping asks for none."""
         columns, self._columns = self._columns, []
         if not columns:
             return
-        xs = [x for x, _, _ in columns]
-        with_gmap = any(g is not None for _, _, g in columns)
-        values = self.problem.metric_block(xs, eta if with_gmap else None)
-        if values is None:  # per iterate; the dataset memo shares A @ x
-            values = [
-                (self.problem.objective(x) if loss is not None else None,
-                 gradient_mapping_norm(self.problem, x, eta)
-                 if gmap is not None else None)
-                for x, loss, gmap in columns
-            ]
+        values = self.problem.metric_block(
+            [x for x, _, _ in columns],
+            [None if gmap_row is None else eta for _, _, gmap_row in columns])
         for (_, loss_row, gmap_row), (loss, gmap) in zip(columns, values):
             if loss_row is not None:
                 self.losses[loss_row] = loss
@@ -500,7 +493,6 @@ def run_training(
     broadcasts: list[dict] = []
     violations = 0
     search_failures = 0
-    iterate_trace: list = []
 
     # Output candidates are the pre-update iterates; draw the uniform index
     # up front and keep only the matching iterate.
@@ -610,12 +602,6 @@ def run_training(
             state.t = t + 1
             columns.add(state.x, state.eta,
                         gt if gt % cfg.metric_every == 0 else None, gmap_row(t + 1))
-            if cfg.trace_iterates:
-                iterate_trace.append(
-                    (state.x.copy(),
-                     state.y.copy() if accelerated else None,
-                     state.snapshot, state.theta)
-                )
 
             row = {
                 "epoch": state.s,
@@ -682,5 +668,4 @@ def run_training(
         search_failures=search_failures,
         min_grad_mapping_sq=min(gmaps) if gmaps else None,
         eta_used=etas if accelerated else etas[0],
-        iterate_trace=iterate_trace,
     )

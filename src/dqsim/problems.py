@@ -12,19 +12,16 @@ run on a dense copy when ``n * d <= _DENSE_CACHE_LIMIT`` and on the CSR arrays
 otherwise. The logistic kernels use only those products; the MLP reads the
 dense copy directly.
 
-``LogisticProblem.metric_block`` evaluates the objective and the gradient
-mapping of a block of iterates on the dense copy with two matrix-matrix
-products, so each iterate's value is rounded as a GEMM column, not as the
-matrix-vector product ``objective`` and ``gradient_mapping_norm`` take.
-
-``Dataset.dot`` also remembers its last whole-matrix product ``A @ x``, keyed
-on the bytes of ``x``. Two callers still read each iterate twice, once for
-the objective and once for the gradient mapping: the full-batch oracle that
-sets loss targets, and the per-iterate metric evaluation that CSR datasets
-and the MLP fall back to. With the memo they compute the margins of that
-iterate once. That one entry is the only state a dataset or problem changes
-after construction; it is written as a single tuple, so a thread reads
-either the old entry or the new one.
+``CompositeProblem.objective_and_grad`` gives the objective and the full
+gradient at one iterate together; the logistic problem computes the margins
+``A @ x`` once for both, with the same bits as ``objective`` and
+``full_grad``. The metrics have one path, ``metric_block``: the objective and
+the gradient mapping of a block of iterates. By default it evaluates one
+iterate at a time through ``objective_and_grad``, and only where a gradient
+mapping is asked for. ``LogisticProblem.metric_block`` evaluates a block on
+the dense copy with two matrix-matrix products, so each iterate's value is
+rounded as a GEMM column, not as the matrix-vector product ``objective`` and
+``gradient_mapping_norm`` take.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ __all__ = [
     "MLPProblem",
     "logistic_problem",
     "mlp_problem",
-    "gradient_mapping",
     "gradient_mapping_norm",
     "soft_threshold",
     "load_libsvm",
@@ -72,8 +68,10 @@ class Dataset:
             raise ValueError("negative feature index")
         counts = np.diff(self.indptr)
         self._row_of = np.repeat(np.arange(self.n), counts)
+        # the dense copy dot and tdot use, or None when they use CSR
         self._dense: np.ndarray | None = None
-        self._last_whole = None  # (key of x, read-only A @ x); see dot
+        if self.n * self.d <= _DENSE_CACHE_LIMIT:
+            self._dense = self.dense()
 
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
@@ -84,48 +82,28 @@ class Dataset:
         return cls(indptr, indices, X.ravel(), labels, d)
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            X = np.zeros((self.n, self.d))
-            X[self._row_of, self.indices] = self.values
-            self._dense = X
-        return self._dense
+        """The matrix as a dense array: the copy the products use, or a new
+        array when they use CSR."""
+        if self._dense is not None:
+            return self._dense
+        X = np.zeros((self.n, self.d))
+        X[self._row_of, self.indices] = self.values
+        return X
 
     def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
-        whole matrix) or an array of row indices, repeats allowed.
-
-        The last whole-matrix product is kept and returned read-only while
-        ``x`` has the same shape, dtype and bytes, so ``objective(x)`` and
-        ``full_grad(x)`` at one iterate share it. Other row sets always
-        compute."""
-        whole = isinstance(rows, slice) and rows.indices(self.n) == (0, self.n, 1)
-        if whole:
-            key = (x.shape, x.dtype.str, x.tobytes())
-            last = self._last_whole
-            if last is not None and last[0] == key:
-                return last[1]
-        X = self._dense_cache()
-        if X is not None:
-            out = X[rows] @ x
-        else:
-            row_ids, cols, vals, k = self._entries(rows)
-            out = np.bincount(row_ids, weights=vals * x[cols], minlength=k)
-        if whole:
-            out.flags.writeable = False
-            self._last_whole = (key, out)
-        return out
+        whole matrix) or an array of row indices, repeats allowed."""
+        if self._dense is not None:
+            return self._dense[rows] @ x
+        row_ids, cols, vals, k = self._entries(rows)
+        return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
 
     def tdot(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
         """A[rows].T @ w, with ``rows`` as in ``dot``."""
-        X = self._dense_cache()
-        if X is not None:
-            return w @ X[rows]
+        if self._dense is not None:
+            return w @ self._dense[rows]
         row_ids, cols, vals, _ = self._entries(rows)
         return np.bincount(cols, weights=vals * w[row_ids], minlength=self.d)
-
-    def _dense_cache(self) -> np.ndarray | None:
-        """The dense copy that dot and tdot use, or None when they use CSR."""
-        return self.dense() if self.n * self.d <= _DENSE_CACHE_LIMIT else None
 
     def _entries(self, rows):
         """CSR entries of A[rows]: (row position in ``rows``, column, value)
@@ -161,10 +139,7 @@ class CompositeProblem:
     Subclasses set ``n``, ``d`` and ``smoothness`` (an estimated Lipschitz
     constant of each per-sample gradient, or None when no sound estimate
     exists) and implement the f/h/prox family below. Instances are immutable
-    after construction, except that a logistic problem's ``Dataset`` keeps
-    one memo of its last whole-matrix product (see ``Dataset.dot``). The memo
-    is replaced by one tuple assignment and read once per call, so gradient
-    evaluation stays reentrant and safe from worker threads.
+    after construction.
     """
 
     n: int
@@ -192,11 +167,26 @@ class CompositeProblem:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_range_sum(0, self.n, x) / self.n
 
-    def metric_block(self, xs: list[np.ndarray], eta: float | None):
-        """``(objective, gradient_mapping_norm at eta)`` per iterate in
-        ``xs`` in one pass, or None where this problem has no faster way
-        than evaluating each iterate on its own."""
-        return None
+    def objective_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(objective(x), full_grad(x))``; a subclass may share work
+        between the two, but not change their bits."""
+        return self.objective(x), self.full_grad(x)
+
+    def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
+        """``(objective(x), gradient_mapping_norm(self, x, eta))`` for each
+        iterate ``x`` in ``xs`` and its ``eta`` in ``etas``. Where ``eta``
+        is None the second value is None and no gradient is computed.
+
+        Evaluates one iterate at a time; a subclass may do the block at
+        once."""
+        out = []
+        for x, eta in zip(xs, etas):
+            if eta is None:
+                out.append((self.objective(x), None))
+            else:
+                loss, grad = self.objective_and_grad(x)
+                out.append((loss, _mapping_sq(self, x, eta, grad)))
+        return out
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -259,11 +249,19 @@ class LogisticProblem(CompositeProblem):
     def grad_range_sum(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         return self._loss_grad_sum(slice(lo, hi), x) + (hi - lo) * self.lambda2 * x
 
-    def metric_block(self, xs: list[np.ndarray], eta: float | None):
-        """``(objective(x), gradient_mapping_norm(self, x, eta))`` for each
-        iterate ``x`` in ``xs``, from two matrix-matrix products on the
-        dense copy; the second is None when ``eta`` is None. Returns None
-        when the dataset runs on CSR, where a block saves nothing.
+    def objective_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(objective(x), full_grad(x))`` to the bit, from one product
+        ``A @ x``."""
+        margins = self.y * self.data.dot(x)
+        loss = self._f(np.logaddexp(0.0, -margins), x) + self.h_value(x)
+        grad = self.data.tdot(self._coeffs(margins, self.y))
+        return loss, (grad + self.n * self.lambda2 * x) / self.n
+
+    def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
+        """As ``CompositeProblem.metric_block``, from two matrix-matrix
+        products on the dense copy; the second is skipped when every ``eta``
+        is None. On CSR, where a block saves nothing, it evaluates one
+        iterate at a time.
 
         Both products keep the iterate index on the column side, with the
         iterates as a column-major operand, so that a column rounds the same
@@ -272,9 +270,9 @@ class LogisticProblem(CompositeProblem):
         differently. Each iterate's reductions run on its own 1-D arrays, as
         in the per-iterate calls, which the values match up to rounding.
         """
-        A = self.data._dense_cache()
+        A = self.data._dense
         if A is None:
-            return None
+            return super().metric_block(xs, etas)
         stacked = np.array(xs if len(xs) > 1 else xs * 2)  # row j is xs[j]
         G = A @ stacked.T
         C = np.zeros_like(G.T)
@@ -288,14 +286,16 @@ class LogisticProblem(CompositeProblem):
             objectives.append(self._f(np.maximum(-margins, 0.0) + soft, x)
                               + self.h_value(x))
             C[j] = -self.y * np.exp(-(np.maximum(margins, 0.0) + soft))
-        if eta is None:
+        if all(eta is None for eta in etas):
             return [(obj, None) for obj in objectives]
         S = A.T @ C.T  # column j is the loss-gradient sum at xs[j]
         out = []
-        for j, x in enumerate(xs):
-            grad = (S[:, j] + self.n * self.lambda2 * x) / self.n
-            g = _mapping(self, x, eta, grad)
-            out.append((objectives[j], float(g @ g)))
+        for j, (x, eta) in enumerate(zip(xs, etas)):
+            gmap = None
+            if eta is not None:
+                grad = (S[:, j] + self.n * self.lambda2 * x) / self.n
+                gmap = _mapping_sq(self, x, eta, grad)
+            out.append((objectives[j], gmap))
         return out
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
@@ -402,28 +402,25 @@ def mlp_problem(data: Dataset, hidden: int = 100, lambda2: float = 1e-4,
                       num_classes=num_classes)
 
 
-def gradient_mapping(problem: CompositeProblem, x: np.ndarray,
-                     eta: float) -> np.ndarray:
-    """Proximal-gradient residual (x - prox(eta, x - eta grad f(x))) / eta.
-
-    Reduces to grad f when h = 0 and vanishes exactly at composite
-    stationary points; its squared norm is the convergence metric.
-    """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    return _mapping(problem, x, eta, problem.full_grad(x))
-
-
-def _mapping(problem: CompositeProblem, x: np.ndarray, eta: float,
-             grad: np.ndarray) -> np.ndarray:
-    """The gradient mapping at x, given grad f(x)."""
-    return (x - problem.prox(eta, x - eta * grad)) / eta
+def _mapping_sq(problem: CompositeProblem, x: np.ndarray, eta: float,
+                grad: np.ndarray) -> float:
+    """Squared norm of the gradient mapping at x, given grad f(x)."""
+    g = (x - problem.prox(eta, x - eta * grad)) / eta
+    return float(g @ g)
 
 
 def gradient_mapping_norm(problem: CompositeProblem, x: np.ndarray,
                           eta: float) -> float:
-    g = gradient_mapping(problem, x, eta)
-    return float(g @ g)
+    """Squared norm of the proximal-gradient residual
+    (x - prox(eta, x - eta grad f(x))) / eta.
+
+    The residual reduces to grad f when h = 0 and vanishes exactly at
+    composite stationary points; its squared norm is the convergence metric.
+    This is the plain reference the metric path is checked against.
+    """
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
+    return _mapping_sq(problem, x, eta, problem.full_grad(x))
 
 
 def load_libsvm(path, d: int | None = None) -> Dataset:

@@ -191,16 +191,17 @@ def test_criterion_4_oracle_equivalence():
     prob = logistic_problem(synth_dataset(500, 20, seed=40), 1e-5, 1e-4)
     cfg = AlgoConfig(
         algo=Algorithm.ASYLPG, epochs=3, m=25, eta=0.5, b_x=32, b=32, tau=0,
-        batch_size=2, seed=41, track_grad_mapping=False, trace_iterates=True,
+        batch_size=2, seed=41, track_grad_mapping=False,
     )
-    res = run_training(prob, cfg, [WorkerSpec(0, FixedLatency(1))])
+    iterates = []  # each update's prox output is its post-update iterate
+    prox = prob.prox
+    prob.prox = lambda eta, v: iterates.append(prox(eta, v)) or iterates[-1]
+    run_training(prob, cfg, [WorkerSpec(0, FixedLatency(1))])
+    del prob.prox  # the reference below steps through the class's prox
     _, wrngs, _, _, _ = make_streams(41, 1)
     reference = serial_prox_svrg(prob, 3, 25, 0.5, 2, wrngs[0])
-    assert len(res.iterate_trace) == len(reference) == 75
-    worst = max(
-        float(np.max(np.abs(x - r)))
-        for (x, _, _, _), r in zip(res.iterate_trace, reference)
-    )
+    assert len(iterates) == len(reference) == 75
+    worst = max(float(np.max(np.abs(x - r))) for x, r in zip(iterates, reference))
     elapsed = time.time() - start
     report("4 oracle equivalence", worst <= 1e-12 and elapsed < 10.0,
            f"(75 iterates, max deviation {worst:.2e}, {elapsed:.1f}s)")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqsim import codec, optim
+from dqsim import codec, optim, problems
 from dqsim.codec import MessageKind
 from dqsim.harness import parse_config, run_experiment
 from dqsim.optim import (
@@ -17,6 +17,7 @@ from dqsim.optim import (
 )
 from dqsim.problems import (
     CompositeProblem,
+    Dataset,
     LogisticProblem,
     gradient_mapping_norm,
     logistic_problem,
@@ -36,6 +37,19 @@ from oracles import grad_sample, serial_prox_svrg
 
 def rng_of(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def record(problem, method, keep):
+    """Wrap ``method`` on this problem instance only; ``keep(args, result)``
+    sees every call, in order."""
+    inner = getattr(problem, method)
+
+    def wrapped(*args):
+        result = inner(*args)
+        keep(args, result)
+        return result
+
+    setattr(problem, method, wrapped)
 
 
 class QuadProblem(CompositeProblem):
@@ -262,14 +276,28 @@ class TestAccelerated:
         assert res.eta_used[1] == pytest.approx(0.1 / 0.5)
 
     def test_coupling_identity_every_step(self):
+        # without gradient mappings each update adds one metric column, its
+        # post-update x; the auxiliary y is what prox returns, and an
+        # epoch's snapshot is what the barrier's first range is taken at
         prob = logistic_problem(synth_dataset(120, 8, 6), 1e-5, 1e-4)
         cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=3, m=12, eta=0.05,
                          b_x=8, b=8, mu=0.1, tau=2, seed=2, batch_size=2,
-                         trace_iterates=True, track_grad_mapping=False)
+                         track_grad_mapping=False)
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(3)]
-        res = run_training(prob, cfg, workers)
-        assert len(res.iterate_trace) == 36
-        for x, y, snapshot, theta in res.iterate_trace:
+        xs, ys, snapshots = [], [], []
+
+        def keep_snapshot(args, _):
+            if args[0] == 0:
+                snapshots.append(args[2])
+
+        record(prob, "metric_block", lambda args, _: xs.extend(args[0]))
+        record(prob, "prox", lambda args, y: ys.append(y))
+        record(prob, "grad_range_sum", keep_snapshot)
+        run_training(prob, cfg, workers)
+        assert len(xs) == len(ys) == 36 and len(snapshots) == 3
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            snapshot = snapshots[k // 12]
+            theta = momentum_weight(k // 12 + 1)
             lhs = x - snapshot
             rhs = theta * (y - snapshot)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -277,11 +305,13 @@ class TestAccelerated:
     def test_output_is_final_averaged_snapshot(self):
         prob = QuadProblem(n=4, d=2)
         cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=2, m=3, eta=0.1,
-                         b_x=32, b=32, trace_iterates=True,
-                         track_grad_mapping=False)
+                         b_x=32, b=32, track_grad_mapping=False)
+        xs = []
+        record(prob, "metric_block", lambda args, _: xs.extend(args[0]))
         res = run_training(prob, cfg, x0=np.array([1.0, -2.0]))
-        xs = [x for x, _, _, _ in res.iterate_trace[-3:]]
-        np.testing.assert_allclose(res.output, np.mean(xs, axis=0), atol=1e-15)
+        assert len(xs) == 6
+        np.testing.assert_allclose(res.output, np.mean(xs[-3:], axis=0),
+                                   atol=1e-15)
         np.testing.assert_array_equal(res.output, res.final_snapshot)
 
 
@@ -457,19 +487,24 @@ class TestMetricColumns:
         rng = rng_of(7)
         xs = [rng.normal(scale=0.2, size=prob.d) for _ in range(width)]
         for eta in (0.1, 2.0):
-            block = prob.metric_block(xs, eta)
+            block = prob.metric_block(xs, [eta] * width)
             assert len(block) == width
             for x, (loss, gmap) in zip(xs, block):
                 assert loss == pytest.approx(prob.objective(x), rel=1e-12)
                 assert gmap == pytest.approx(
                     gradient_mapping_norm(prob, x, eta), rel=1e-12)
-        assert [g for _, g in prob.metric_block(xs, None)] == [None] * width
+            some = [eta if j % 2 else None for j in range(width)]
+            assert prob.metric_block(xs, some) == [
+                (loss, gmap if e is not None else None)
+                for (loss, gmap), e in zip(block, some)]
+        assert [g for _, g in prob.metric_block(xs, [None] * width)] == \
+            [None] * width
 
     @pytest.mark.parametrize("algo", [Algorithm.ASYLPG, Algorithm.ACC_ASYLPG])
     @pytest.mark.parametrize("box", [None, 0.05])
     def test_run_matches_per_iterate_evaluation(self, algo, box, monkeypatch):
         # the momentum variant's step size changes every epoch; with the
-        # block method taken away the run evaluates per iterate
+        # base class's metric_block the run evaluates per iterate
         prob = logistic_problem(synth_dataset(150, 25, 8), 0.02, 1e-3,
                                 box_radius=box)
         cfg = AlgoConfig(algo=algo, epochs=3, m=20, eta=0.2, b_x=6, b=6,
@@ -477,7 +512,7 @@ class TestMetricColumns:
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
         blocked = run_training(prob, cfg, workers)
         monkeypatch.setattr(LogisticProblem, "metric_block",
-                            lambda self, xs, eta: None)
+                            CompositeProblem.metric_block)
         per_iterate = run_training(prob, cfg, workers)
         assert len(blocked.metrics) == len(per_iterate.metrics) == 60
         for row, ref in zip(blocked.metrics, per_iterate.metrics):
@@ -497,7 +532,8 @@ class TestMetricColumns:
             raise AssertionError("a metric was evaluated per iterate")
 
         monkeypatch.setattr(CompositeProblem, "objective", refuse)
-        monkeypatch.setattr(optim, "gradient_mapping_norm", refuse)
+        monkeypatch.setattr(CompositeProblem, "metric_block", refuse)
+        monkeypatch.setattr(LogisticProblem, "objective_and_grad", refuse)
         prob = logistic_problem(synth_dataset(80, 10, 4), 1e-3, 1e-3)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, execution=execution)
@@ -507,6 +543,42 @@ class TestMetricColumns:
                    row["grad_mapping_sq"] is not None for row in res.metrics)
         assert res.min_grad_mapping_sq == min(
             row["grad_mapping_sq"] for row in res.metrics)
+
+    def test_csr_loss_only_columns_take_no_gradient(self, monkeypatch):
+        # with metric_every=3 a metric column feeds a train_loss or a
+        # grad_mapping_sq, never both; only the latter may cost A.T @ w
+        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+        prob = logistic_problem(synth_dataset(90, 12, 4), 1e-3, 1e-3)
+        tdots = []
+        inner_tdot = Dataset.tdot
+
+        def counted_tdot(data, *args):
+            tdots.append(1)
+            return inner_tdot(data, *args)
+
+        blocks = []  # (loss-only columns, mapping columns, tdot calls)
+        inner_block = LogisticProblem.metric_block
+
+        def counted_block(self, xs, etas):
+            before = len(tdots)
+            out = inner_block(self, xs, etas)
+            mapped = sum(eta is not None for eta in etas)
+            blocks.append((len(etas) - mapped, mapped, len(tdots) - before))
+            return out
+
+        monkeypatch.setattr(Dataset, "tdot", counted_tdot)
+        monkeypatch.setattr(LogisticProblem, "metric_block", counted_block)
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
+                         tau=2, seed=5, batch_size=2, metric_every=3)
+        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        res = run_training(prob, cfg, workers)
+        assert sum(loss_only for loss_only, _, _ in blocks) == 8
+        assert sum(mapped for _, mapped, _ in blocks) == 8
+        assert all(mapped == calls for _, mapped, calls in blocks)
+        for row in res.metrics:
+            kept = row["t_global"] % 3 == 0
+            assert (row["train_loss"] is not None) == kept
+            assert (row["grad_mapping_sq"] is not None) == kept
 
 
 class TestConfigValidation:

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -123,77 +120,21 @@ class TestLogistic:
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
 
     def test_objective_and_full_grad_share_one_product(self, monkeypatch):
-        # every product dot or tdot computes consults _dense_cache once
-        calls = []
-        inner = Dataset._dense_cache
-
-        def counted(data):
-            calls.append(1)
-            return inner(data)
-
-        monkeypatch.setattr(Dataset, "_dense_cache", counted)
+        # the bits of objective and full_grad, from one A @ x and one A.T @ w
         prob = small_logistic()
         x = rng_of(12).normal(size=prob.d)
-        prob.objective(x)
-        assert len(calls) == 1  # A @ x
-        prob.full_grad(x)
-        assert len(calls) == 2  # only the transposed product is new
-        assert not prob.data.dot(x).flags.writeable
-        assert len(calls) == 2
+        want_loss, want_grad = prob.objective(x), prob.full_grad(x)
+        calls = []
+        for name in ("dot", "tdot"):
+            def counted(data, *args, inner=getattr(Dataset, name), name=name):
+                calls.append(name)
+                return inner(data, *args)
 
-    def test_product_memo_follows_x(self):
-        prob = small_logistic()
-        rng = rng_of(13)
-        x, z = rng.normal(size=prob.d), rng.normal(size=prob.d)
-        seen = []
-
-        def check(v):
-            got = (prob.objective(v), prob.full_grad(v))
-            fresh = small_logistic()
-            want = (fresh.objective(v), fresh.full_grad(v))
-            assert got[0] == want[0]
-            assert np.array_equal(got[1], want[1])
-            seen.append(got[0])
-
-        for v in (x, z, x, z):
-            check(v)
-        x[2] += 0.5  # in place: same array object, new bytes
-        check(x)
-        x *= -1.0
-        check(x)
-        check(z)
-        assert seen[4] != seen[0] and seen[5] != seen[4]
-
-    def test_product_memo_under_threads(self):
-        # more threads than cores over three shared iterates: a memo entry
-        # whose key and product came from different calls gives a wrong value
-        prob = small_logistic()
-        fresh = small_logistic()
-        iterates = rng_of(14).normal(size=(3, prob.d))
-        want = [(fresh.objective(v), fresh.full_grad(v)) for v in iterates]
-        wrong = []
-
-        def work(k):
-            for i in range(1000):
-                j = (k + i) % 3
-                got_f = prob.objective(iterates[j])
-                got_g = prob.full_grad(iterates[j])
-                if got_f != want[j][0] or not np.array_equal(got_g, want[j][1]):
-                    wrong.append((k, i))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(k,), daemon=True)
-                       for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
+            monkeypatch.setattr(Dataset, name, counted)
+        loss, grad = prob.objective_and_grad(x)
+        assert calls == ["dot", "tdot"]
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
 
 class TestLogisticCSR(TestLogistic):
@@ -217,8 +158,7 @@ def test_dense_and_csr_storage_agree(monkeypatch):
     batch = np.array([7, 4, 7, 0, 29, 13])
 
     def kernels():
-        # a new dataset each time, so the product memo of one storage
-        # cannot answer for the other
+        # a new dataset each time: storage is chosen at construction
         prob = logistic_problem(Dataset(indptr, cols, X[rows, cols], labels, d),
                                 0.01, 0.001)
         return (prob.f_value(x), prob.grad_batch(batch, x),
