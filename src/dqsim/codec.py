@@ -34,7 +34,7 @@ import enum
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "decode_dense",
     "decode_sparse",
     "decode_full",
-    "decode_message",
 ]
 
 
@@ -78,7 +77,6 @@ _TAGS = {
     MessageKind.SPARSE: 0x10 | 0x3,
     MessageKind.FLAG: 0x10 | 0x4,
 }
-_KIND_BY_TAG = {tag: kind for kind, tag in _TAGS.items()}
 
 Content = Union[np.ndarray, LowPrecisionVector, SparseLowPrecisionVector, None]
 
@@ -248,25 +246,6 @@ def decode_full(payload: bytes, d: int) -> np.ndarray:
     body = _check_tag(payload, MessageKind.FULL)
     arr = np.frombuffer(body, dtype=">f4", count=d)
     return arr.astype(np.float64)
-
-
-def decode_message(payload: bytes, d: int, b: Optional[int] = None) -> WireMessage:
-    """Reconstruct a :class:`WireMessage` from its physical stream."""
-    if not payload:
-        raise ValueError("empty payload")
-    kind = _KIND_BY_TAG.get(payload[0])
-    if kind is None:
-        raise ValueError(f"unknown format tag 0x{payload[0]:02x}")
-    if kind is MessageKind.FLAG:
-        return WireMessage(kind, flag_bits(), None)
-    if kind is MessageKind.FULL:
-        return WireMessage(kind, full_bits(d), decode_full(payload, d))
-    if b is None:
-        raise ValueError(f"{kind.value} decoding requires the code width b")
-    if kind is MessageKind.DENSE:
-        return WireMessage(kind, dense_bits(d, b), decode_dense(payload, d, b))
-    q = decode_sparse(payload, d, b)
-    return WireMessage(kind, sparse_bits(d, q.nnz, b), q)
 
 
 @dataclass

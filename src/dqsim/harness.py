@@ -205,7 +205,8 @@ def build_problem(pcfg: dict) -> CompositeProblem:
     if kind == "synth_mlp":
         data = synth_multiclass_dataset(pcfg["n"], pcfg["d"], pcfg["classes"],
                                         pcfg["seed"])
-        return mlp_problem(data, hidden=pcfg["hidden"], lambda2=pcfg["lambda2"])
+        return mlp_problem(data, hidden=pcfg["hidden"], lambda2=pcfg["lambda2"],
+                           init_seed=pcfg["seed"])
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
@@ -235,14 +236,14 @@ def _latency_model(spec: dict):
 
 
 def oracle_best_loss(problem: CompositeProblem, iters: int = 2000) -> float:
-    """Deterministic full-batch proximal-gradient run; returns the best
-    objective seen. Serves as the reference optimum for loss targets and
-    rate-bound checks."""
+    """Deterministic full-batch proximal-gradient run from the problem's
+    initial point; returns the best objective seen. Serves as the reference
+    optimum for loss targets and rate-bound checks."""
     if problem.smoothness is not None:
         eta = 1.0 / problem.smoothness
     else:
         eta = 0.1
-    x = np.zeros(problem.d)
+    x = problem.initial_point()
     best, grad = problem.objective_and_grad(x)
     for _ in range(iters):
         x = problem.prox(eta, x - eta * grad)
@@ -262,7 +263,7 @@ def resolve_loss_target(config: ExperimentConfig,
         return float(target)
     if target == "auto":
         best = oracle_best_loss(problem, config.run.get("oracle_iters", 2000))
-        start = problem.objective(np.zeros(problem.d))
+        start = problem.objective(problem.initial_point())
         return best + 0.1 * (start - best)
     raise ValueError(f"loss_target must be a number, 'auto', or null; got {target!r}")
 

@@ -465,7 +465,8 @@ def run_training(
     workers: Optional[Sequence[WorkerSpec]] = None,
     x0: Optional[np.ndarray] = None,
 ) -> RunResult:
-    """Train for ``cfg.epochs`` epochs of ``cfg.m`` asynchronous inner updates.
+    """Train for ``cfg.epochs`` epochs of ``cfg.m`` asynchronous inner updates,
+    from ``x0`` or else the problem's ``initial_point()``.
 
     Deterministic: identical (problem, cfg, workers, x0) produce identical
     metrics, ledger, trace, and output, bit for bit.
@@ -479,7 +480,10 @@ def run_training(
     accelerated = cfg.algo in _ACCELERATED
     etas = _epoch_etas(cfg, problem.smoothness, problem.d)
 
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    if x0 is None:
+        x = problem.initial_point()
+    else:
+        x = np.asarray(x0, dtype=np.float64).copy()
     state = TrainState(
         s=0, t=0, x=x, snapshot=x.copy(), snapshot_grad=np.zeros(problem.d),
         eta=etas[0],

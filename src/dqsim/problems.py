@@ -21,7 +21,8 @@ iterate at a time through ``objective_and_grad``, and only where a gradient
 mapping is asked for. ``LogisticProblem.metric_block`` evaluates a block on
 the dense copy with two matrix-matrix products, so each iterate's value is
 rounded as a GEMM column, not as the matrix-vector product ``objective`` and
-``gradient_mapping_norm`` take.
+``gradient_mapping_norm`` take. Runs, the loss-target oracle and its start
+objective all begin at the problem's ``initial_point``.
 """
 
 from __future__ import annotations
@@ -172,6 +173,11 @@ class CompositeProblem:
         between the two, but not change their bits."""
         return self.objective(x), self.full_grad(x)
 
+    def initial_point(self) -> np.ndarray:
+        """Where every run, the loss-target oracle and the start objective
+        begin: the origin, unless the problem has a better start."""
+        return np.zeros(self.d)
+
     def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
         """``(objective(x), gradient_mapping_norm(self, x, eta))`` for each
         iterate ``x`` in ``xs`` and its ``eta`` in ``etas``. Where ``eta``
@@ -315,7 +321,7 @@ class MLPProblem(CompositeProblem):
     """
 
     def __init__(self, data: Dataset, hidden: int = 100, lambda2: float = 1e-4,
-                 num_classes: int | None = None):
+                 num_classes: int | None = None, init_seed: int = 0):
         labels = data.labels
         if np.any(labels != np.round(labels)) or labels.min() < 0:
             raise ValueError("MLP labels must be nonnegative class indices")
@@ -334,6 +340,7 @@ class MLPProblem(CompositeProblem):
         self._sizes = [int(np.prod(s)) for s in self._shapes]
         self.d = int(sum(self._sizes))
         self.smoothness = None
+        self.init_seed = int(init_seed)
         self._X = data.dense()
 
     def init_params(self, seed: int = 0, scale: float = 0.1) -> np.ndarray:
@@ -342,6 +349,11 @@ class MLPProblem(CompositeProblem):
         w2 = rng.normal(0.0, scale / np.sqrt(self.hidden), self._sizes[2])
         return np.concatenate([w1, np.zeros(self._sizes[1]), w2,
                                np.zeros(self._sizes[3])])
+
+    def initial_point(self) -> np.ndarray:
+        """Seeded small weights: from all-zero weights every ReLU is dead
+        and only the output bias would learn."""
+        return self.init_params(self.init_seed)
 
     def _unpack(self, x: np.ndarray):
         parts = np.split(x, np.cumsum(self._sizes)[:-1])
@@ -397,9 +409,9 @@ def logistic_problem(data: Dataset, lambda1: float, lambda2: float,
 
 
 def mlp_problem(data: Dataset, hidden: int = 100, lambda2: float = 1e-4,
-                num_classes: int | None = None) -> MLPProblem:
+                num_classes: int | None = None, init_seed: int = 0) -> MLPProblem:
     return MLPProblem(data, hidden=hidden, lambda2=lambda2,
-                      num_classes=num_classes)
+                      num_classes=num_classes, init_seed=init_seed)
 
 
 def _mapping_sq(problem: CompositeProblem, x: np.ndarray, eta: float,

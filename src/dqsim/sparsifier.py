@@ -22,7 +22,6 @@ __all__ = [
     "budget_max",
     "optimal_plan",
     "sparsify",
-    "second_moment_expected",
 ]
 
 logger = logging.getLogger(__name__)
@@ -85,12 +84,6 @@ class SparseRealVector:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        if self.indices.size:
-            out[self.indices] = self.values
-        return out
 
 
 def _as_alpha(alpha) -> np.ndarray:
@@ -160,18 +153,3 @@ def sparsify(alpha, plan: SparsePlan, rng: np.random.Generator) -> SparseRealVec
     vals = alpha[idx] / plan.probs[idx]
     nz = vals != 0.0  # alpha_i == 0 with p_i > 0 decodes to nothing
     return SparseRealVector(alpha.size, idx[nz], vals[nz])
-
-
-def second_moment_expected(alpha, plan: SparsePlan) -> float:
-    """Closed-form ``E||beta||^2 = sum over kept-candidates of alpha_i^2 / p_i``.
-
-    Equals ``||alpha||_1^2 / phi`` at the optimal plan and is strictly larger
-    for any other plan with the same budget (unless all magnitudes are equal).
-    """
-    alpha = _as_alpha(alpha)
-    if alpha.size != plan.dim:
-        raise ValueError("plan dimension does not match alpha")
-    nz = alpha != 0.0
-    if np.any(nz & (plan.probs == 0.0)):
-        raise ValueError("plan assigns zero probability to a nonzero coordinate")
-    return float(np.sum(alpha[nz] ** 2 / plan.probs[nz]))

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dqsim.problems import LogisticProblem, MLPProblem
+from dqsim.sparsifier import SparsePlan, SparseRealVector
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -134,3 +135,25 @@ def mc_quantize_stats(v: np.ndarray, grid, n_samples: int,
     decoded = (q.codes * grid.delta).reshape(n_samples, d)
     err_sq = np.sum((decoded - v) ** 2, axis=1)
     return decoded.mean(axis=0), float(err_sq.mean())
+
+
+def sparse_to_dense(v: SparseRealVector) -> np.ndarray:
+    """The dense vector a sparse one stands for."""
+    out = np.zeros(v.dim)
+    out[v.indices] = v.values
+    return out
+
+
+def second_moment_expected(alpha, plan: SparsePlan) -> float:
+    """Closed-form ``E||beta||^2 = sum over kept-candidates of alpha_i^2 / p_i``.
+
+    Equals ``||alpha||_1^2 / phi`` at the optimal plan and is strictly larger
+    for any other plan with the same budget (unless all magnitudes are equal).
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.size != plan.dim:
+        raise ValueError("plan dimension does not match alpha")
+    nz = alpha != 0.0
+    if np.any(nz & (plan.probs == 0.0)):
+        raise ValueError("plan assigns zero probability to a nonzero coordinate")
+    return float(np.sum(alpha[nz] ** 2 / plan.probs[nz]))

@@ -47,10 +47,15 @@ from dqsim.simnet import (
     WorkerSpec,
     run_inner_loop,
 )
-from dqsim.sparsifier import SparsePlan, budget_max, optimal_plan, second_moment_expected, sparsify
+from dqsim.sparsifier import SparsePlan, budget_max, optimal_plan, sparsify
 from dqsim.harness import oracle_best_loss
 
-from oracles import finite_diff_grad, serial_prox_svrg
+from oracles import (
+    finite_diff_grad,
+    second_moment_expected,
+    serial_prox_svrg,
+    sparse_to_dense,
+)
 
 
 def rng_of(seed):
@@ -111,7 +116,7 @@ def test_criterion_2_sparsifier_optimality():
     n = 1_000_000
     tiled_plan = SparsePlan(np.tile(plan.probs, n), float(plan.probs.sum() * n))
     beta = sparsify(np.tile(alpha, n), tiled_plan, rng_of(102))
-    emp = float(np.mean(np.sum(beta.to_dense().reshape(n, 2) ** 2, axis=1)))
+    emp = float(np.mean(np.sum(sparse_to_dense(beta).reshape(n, 2) ** 2, axis=1)))
     assert emp == pytest.approx(12.0, rel=0.01)
 
     # optimal plan beats random valid plans of the same budget

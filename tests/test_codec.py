@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from dqsim.codec import (
+    _TAGS,
     BitLedger,
     MessageKind,
+    WireMessage,
     decode_dense,
     decode_full,
-    decode_message,
     decode_sparse,
     dense_bits,
     encode_dense,
@@ -21,6 +22,26 @@ from dqsim.codec import (
     sparse_bits,
 )
 from dqsim.quantizer import LowPrecisionVector, QuantGrid, SparseLowPrecisionVector
+
+
+def decode_message(payload: bytes, d: int, b=None) -> WireMessage:
+    """Reconstruct a message from its physical stream, dispatching on the
+    tag byte."""
+    if not payload:
+        raise ValueError("empty payload")
+    kind = {tag: kind for kind, tag in _TAGS.items()}.get(payload[0])
+    if kind is None:
+        raise ValueError(f"unknown format tag 0x{payload[0]:02x}")
+    if kind is MessageKind.FLAG:
+        return WireMessage(kind, flag_bits(), None)
+    if kind is MessageKind.FULL:
+        return WireMessage(kind, full_bits(d), decode_full(payload, d))
+    if b is None:
+        raise ValueError(f"{kind.value} decoding requires the code width b")
+    if kind is MessageKind.DENSE:
+        return WireMessage(kind, dense_bits(d, b), decode_dense(payload, d, b))
+    q = decode_sparse(payload, d, b)
+    return WireMessage(kind, sparse_bits(d, q.nnz, b), q)
 
 
 def rng_of(seed=0):

@@ -89,11 +89,11 @@ GOLDEN = {
         '0.6358146137567444',
     ),
     'mlp': (
-        '98a57932c0f4d6daa841e5f3703c5c07f75d25eb85777a431728539d4f2a4622',
-        'fa7d00bebfa58f42f0bc3512fd0cd448f88e1e93653426d66e76af7a6f6f7330',
+        '57595a500b1fdc6a72c48439caaebd27e6323de762975e46b37c191b52ec5a17',
+        'b4b07e6948cbd99cc3ddf335e34da972d71974075f408fcc4d7aca39b06d6782',
         '9b02b74080792996a5092663c6acdcf2f8d3198d473eed8384688926400aca96',
-        163034,
-        '1.078702672726094',
+        168899,
+        '1.0709368135087276',
     ),
     'qsvrg': (
         '810074807b7a7188ef0ff41b24f47bfc12cc2126e1d2027dbb77b54e0c5c6223',

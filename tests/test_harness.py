@@ -170,6 +170,24 @@ class TestRunExperiment:
         start = problem.objective(np.zeros(problem.d))
         assert target == pytest.approx(best + 0.1 * (start - best))
 
+    def test_mlp_run_moves_first_layer(self):
+        # from all-zero weights every ReLU is dead and W1 never moves
+        raw = {"problem": {"kind": "synth_mlp", "n": 60, "d": 6, "classes": 3,
+                           "hidden": 4, "seed": 2, "lambda2": 1e-3},
+               "algo": {"algo": "acc_asyfpg", "epochs": 2, "m": 20,
+                        "eta": 0.05, "batch_size": 4},
+               "run": {"loss_target": "auto", "oracle_iters": 50}}
+        config = parse_config(raw)
+        problem = build_problem(config.problem)
+        start = problem.initial_point()
+        np.testing.assert_array_equal(start, build_problem(config.problem)
+                                      .initial_point())
+        report = run_experiment(config, problem=problem)
+        w1 = slice(0, 4 * 6)
+        output = np.array(report.output_vector)
+        assert np.count_nonzero(output[w1] - start[w1]) == 4 * 6
+        assert report.loss_target < problem.objective(start)
+
 
 class TestGridSearch:
     def test_single_point_grid(self):

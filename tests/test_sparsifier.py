@@ -7,9 +7,10 @@ from dqsim.sparsifier import (
     budget_max,
     clamp_budget,
     optimal_plan,
-    second_moment_expected,
     sparsify,
 )
+
+from oracles import second_moment_expected, sparse_to_dense
 
 
 def rng_of(seed=0):
@@ -22,7 +23,7 @@ def tiled_sparsify(alpha, probs, n_draws, rng):
     d = alpha.size
     plan = SparsePlan(np.tile(probs, n_draws), float(probs.sum() * n_draws))
     beta = sparsify(np.tile(alpha, n_draws), plan, rng)
-    return beta.to_dense().reshape(n_draws, d)
+    return sparse_to_dense(beta).reshape(n_draws, d)
 
 
 class TestBudgetMax:
@@ -78,7 +79,7 @@ class TestSparsify:
         plan = SparsePlan(np.ones(3), 3.0)
         for seed in range(5):
             beta = sparsify(alpha, plan, rng_of(seed))
-            np.testing.assert_array_equal(beta.to_dense(), alpha)
+            np.testing.assert_array_equal(sparse_to_dense(beta), alpha)
 
     def test_example_distribution_and_unbiasedness(self):
         alpha = np.array([3.0, 1.0])
@@ -195,4 +196,4 @@ class TestTypes:
         with pytest.raises(ValueError):
             SparseRealVector(3, np.array([0, 1]), np.array([1.0, 0.0]))
         v = SparseRealVector(4, np.array([1, 3]), np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(v.to_dense(), [0.0, 2.0, 0.0, -1.0])
+        np.testing.assert_array_equal(sparse_to_dense(v), [0.0, 2.0, 0.0, -1.0])
