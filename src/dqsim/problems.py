@@ -50,9 +50,14 @@ _DENSE_CACHE_LIMIT = 20_000_000
 
 
 class Dataset:
-    """Row-sparse dataset (CSR index arrays) with one label per row."""
+    """Row-sparse dataset (CSR index arrays) with one label per row.
 
-    def __init__(self, indptr, indices, values, labels, d: int):
+    ``dense``, when given, is the same matrix as a C-contiguous array; it is
+    then the dense copy the products use, instead of a new one.
+    """
+
+    def __init__(self, indptr, indices, values, labels, d: int, *,
+                 dense: np.ndarray | None = None):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -72,15 +77,15 @@ class Dataset:
         # the dense copy dot and tdot use, or None when they use CSR
         self._dense: np.ndarray | None = None
         if self.n * self.d <= _DENSE_CACHE_LIMIT:
-            self._dense = self.dense()
+            self._dense = dense if dense is not None else self.dense()
 
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         n, d = X.shape
         indptr = np.arange(n + 1, dtype=np.int64) * d
         indices = np.tile(np.arange(d, dtype=np.int64), n)
-        return cls(indptr, indices, X.ravel(), labels, d)
+        return cls(indptr, indices, X.ravel(), labels, d, dense=X)
 
     def dense(self) -> np.ndarray:
         """The matrix as a dense array: the copy the products use, or a new

@@ -123,6 +123,7 @@ class TestLogistic:
         # the bits of objective and full_grad, from one A @ x and one A.T @ w
         prob = small_logistic()
         x = rng_of(12).normal(size=prob.d)
+        state = {k: id(v) for k, v in vars(prob.data).items()}
         want_loss, want_grad = prob.objective(x), prob.full_grad(x)
         calls = []
         for name in ("dot", "tdot"):
@@ -135,6 +136,7 @@ class TestLogistic:
         assert calls == ["dot", "tdot"]
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
+        assert {k: id(v) for k, v in vars(prob.data).items()} == state
 
 
 class TestLogisticCSR(TestLogistic):
