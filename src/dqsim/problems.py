@@ -7,9 +7,9 @@ lives inside f so that h is exactly the L1 norm and its prox is the
 coordinatewise soft threshold) and a small fully-connected ReLU network with
 softmax loss and L2 weight decay (h = 0, prox = identity).
 
-``Dataset`` is the one place that picks how rows are stored: its row products
-run on a dense copy when ``n * d <= _DENSE_CACHE_LIMIT`` and on the CSR arrays
-otherwise. The logistic kernels use only those products; the MLP reads the
+``Dataset`` is the one place that picks how rows are stored, once, when it is
+built: its row products run on a dense copy when ``n * d <=
+_DENSE_CACHE_LIMIT`` and on the CSR arrays otherwise. The logistic kernels use only those products; the MLP reads the
 dense copy directly.
 
 ``CompositeProblem.objective_and_grad`` gives the objective and the full
