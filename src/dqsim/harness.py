@@ -8,7 +8,7 @@ the exact effective config.
 Outputs per run directory:
     metrics.csv   one row per applied update (see docs/csv_columns.md)
     ledger.csv    one row per transmitted message
-    trace.csv     per-update staleness trace
+    trace.csv     per-update staleness trace, projected from the metrics rows
     report.json   effective config, bit totals, bits-to-target, theory checks
 """
 
@@ -40,7 +40,6 @@ from .simnet import (
     GeometricLatency,
     UniformLatency,
     WorkerSpec,
-    write_trace_csv,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ _WORKER_DEFAULTS = {"count": 1, "latency": {"kind": "fixed", "ticks": 1}}
 _RUN_DEFAULTS = {
     "out_dir": None,
     "seed": None,  # overrides algo.seed when set
-    "repetitions": 1,
     "loss_target": "auto",  # number, "auto", or None to skip
     "oracle_iters": 2000,
 }
@@ -292,6 +290,24 @@ def _write_metrics_csv(path, rows: Sequence[dict]) -> None:
             writer.writerow(out)
 
 
+def _write_trace_csv(path, rows: Sequence[dict]) -> None:
+    """Per-update trace from the metrics rows: global update index t, the
+    global model version D_t its gradient was computed at, worker, epoch,
+    and the gradient message's kind and bits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "D_t", "worker_id", "epoch", "message_kind", "bits"])
+        for row in rows:
+            writer.writerow([
+                row["t_global"],
+                row["t_global"] - row["staleness"],
+                row["worker_id"],
+                row["epoch"],
+                row["message_kind"],
+                row["bits"],
+            ])
+
+
 def run_experiment(config: ExperimentConfig,
                    problem: Optional[CompositeProblem] = None,
                    loss_target: Optional[float] = "unset") -> RunReport:
@@ -330,7 +346,7 @@ def run_experiment(config: ExperimentConfig,
         trace_csv = str(out / "trace.csv")
         _write_metrics_csv(metrics_csv, result.metrics)
         result.ledger.write_csv(ledger_csv)
-        write_trace_csv(trace_csv, result.trace)
+        _write_trace_csv(trace_csv, result.metrics)
 
     report = RunReport(
         config=config.to_dict(),

@@ -57,7 +57,6 @@ from .sparsifier import budget_max, clamp_budget, optimal_plan, sparsify
 __all__ = [
     "Algorithm",
     "AlgoConfig",
-    "TrainState",
     "RunResult",
     "make_streams",
     "run_training",
@@ -135,36 +134,11 @@ class AlgoConfig:
 
 
 @dataclass
-class TrainState:
-    """Mutable master state; owned by the simulation loop."""
-
-    s: int  # epoch index
-    t: int  # inner update index within the epoch
-    x: np.ndarray
-    snapshot: np.ndarray
-    snapshot_grad: np.ndarray
-    eta: float
-    y: Optional[np.ndarray] = None  # momentum auxiliary iterate
-    theta: Optional[float] = None  # momentum weight
-    x_sum: Optional[np.ndarray] = None  # running sum for the averaged snapshot
-
-
-@dataclass
-class _TaskMeta:
-    version: int
-    grad_msg: WireMessage
-    mu_req: Optional[float]
-    b_x_used: Optional[int]
-    nnz: Optional[int]
-
-
-@dataclass
 class RunResult:
     config: AlgoConfig
     metrics: list[dict]  # one row per applied update
     ledger: BitLedger
-    trace: list[dict]  # per-update staleness/trace rows
-    broadcasts: list[dict]  # per model broadcast: mu diagnostics
+    broadcasts: list[dict]  # per non-flag quantizing broadcast: mu diagnostics
     output: np.ndarray  # selected output iterate
     final_x: np.ndarray
     final_snapshot: np.ndarray
@@ -249,15 +223,10 @@ def momentum_weight(s: int) -> float:
     return 2.0 / (s + 2.0)
 
 
-def _decode_model(msg: WireMessage, snapshot: np.ndarray) -> np.ndarray:
+def _decode(msg: WireMessage, snapshot: np.ndarray) -> np.ndarray:
+    """The vector a message carries; a snapshot flag stands for ``snapshot``."""
     if msg.kind is MessageKind.FLAG:
         return snapshot
-    if msg.kind is MessageKind.FULL:
-        return msg.content
-    return msg.content.decode()
-
-
-def _decode_gradient(msg: WireMessage) -> np.ndarray:
     if msg.kind is MessageKind.FULL:
         return msg.content
     return msg.content.decode()
@@ -406,10 +375,7 @@ def theory_constants(
         report["tau_bound"] = binding
         report["tau_ok"] = cfg.tau <= binding
         report["theta"] = [momentum_weight(s) for s in range(1, cfg.epochs + 1)]
-        report["eta_schedule"] = [
-            1.0 / (cfg.sigma * L * momentum_weight(s))
-            for s in range(1, cfg.epochs + 1)
-        ]
+        report["eta_schedule"] = _epoch_etas(cfg, L, d)
         return report
 
     if cfg.eta_mode == "theory":
@@ -469,7 +435,7 @@ def run_training(
     from ``x0`` or else the problem's ``initial_point()``.
 
     Deterministic: identical (problem, cfg, workers, x0) produce identical
-    metrics, ledger, trace, and output, bit for bit.
+    metrics, ledger, broadcasts, and output, bit for bit.
     """
     if workers is None:
         workers = [WorkerSpec(0, FixedLatency(1))]
@@ -484,19 +450,12 @@ def run_training(
         x = problem.initial_point()
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
-    state = TrainState(
-        s=0, t=0, x=x, snapshot=x.copy(), snapshot_grad=np.zeros(problem.d),
-        eta=etas[0],
-    )
-    if accelerated:
-        state.y = state.snapshot
+    snapshot = x.copy()
+    y = snapshot  # momentum auxiliary iterate
 
     ledger = BitLedger()
     metrics: list[dict] = []
-    trace: list[dict] = []
     broadcasts: list[dict] = []
-    violations = 0
-    search_failures = 0
 
     # Output candidates are the pre-update iterates; draw the uniform index
     # up front and keep only the matching iterate.
@@ -505,110 +464,73 @@ def run_training(
     picked_iterate: Optional[np.ndarray] = None
     columns = _MetricColumns(problem, total_T)
 
-    def global_t() -> int:
-        return state.s * cfg.m + state.t
-
     def gmap_row(t: int) -> Optional[int]:
         """Row ``t`` of this epoch when it records a gradient mapping."""
-        gt = state.s * cfg.m + t
+        gt = epoch * cfg.m + t
         if t < cfg.m and cfg.track_grad_mapping and gt % cfg.metric_every == 0:
             return gt
         return None
 
-    for s_epoch in range(cfg.epochs):
-        state.s = s_epoch
-        state.t = 0
-        state.snapshot_grad = epoch_barrier(
-            problem, state.snapshot, len(workers), ledger, step=global_t()
+    # The step functions read the epoch state (epoch, eta, theta, snapshot,
+    # snapshot_grad) that the epoch loop below sets before each inner loop.
+    # A ledger step is the global index of the next update, which is the
+    # number of metrics rows so far.
+
+    def model_step(worker_id: int, version: int):
+        """Master side of a dispatch: broadcast message plus diagnostics."""
+        msg, diag = model_message(x, snapshot, cfg, master_rng, mu_scale=theta)
+        ledger.record_message(len(metrics), "down", msg)
+        if msg.kind is not MessageKind.FLAG and diag["b_x_used"] is not None:
+            broadcasts.append(
+                {
+                    "epoch": epoch,
+                    "version": version,
+                    "mu_required": diag["mu_required"],
+                    "b_x_used": diag["b_x_used"],
+                    "violation": diag["violation"],
+                    "search_failed": diag["search_failed"],
+                    **{f"mu_required_b{w}": v
+                       for w, v in diag["mu_probes"].items()},
+                }
+            )
+        return msg, diag
+
+    def worker_step(worker_id: int, dispatch):
+        """Worker side: sample a batch, differentiate at the received model
+        against the stored snapshot, compress. Touches only the worker's own
+        streams plus ``snapshot``, which is rebound only between inner loops."""
+        msg, diag = dispatch
+        batch = rng_of[worker_id].integers(0, problem.n, size=cfg.batch_size)
+        model = _decode(msg, snapshot)
+        alpha = problem.grad_batch(batch, model) - problem.grad_batch(
+            batch, snapshot
         )
+        return gradient_message(alpha, cfg, crng_of[worker_id]), diag
+
+    def on_arrival(clock: int, worker_id: int, reply):
+        ledger.record_message(len(metrics), "up", reply[0])
+
+    def apply_result(t: int, reply, record: StalenessRecord):
+        nonlocal x, y, x_sum, picked_iterate
+        grad_msg, diag = reply
+        nnz = grad_msg.content.nnz if grad_msg.kind is MessageKind.SPARSE else None
+        gt = epoch * cfg.m + t
+        if gt == pick:
+            picked_iterate = x.copy()
+
+        u = _decode(grad_msg, snapshot) + snapshot_grad
         if accelerated:
-            s_one = s_epoch + 1
-            state.theta = momentum_weight(s_one)
-            state.eta = etas[s_epoch]
-            # auxiliary first, then the coupled iterate; identical arrays at
-            # the very start must stay identical for the flag-bit path
-            y0 = state.y
-            if np.array_equal(y0, state.snapshot):
-                state.x = state.snapshot.copy()
-            else:
-                state.x = state.snapshot + state.theta * (y0 - state.snapshot)
-            state.y = y0.copy()
-            state.x_sum = np.zeros(problem.d)
+            y = problem.prox(eta, y - eta * u)
+            x = snapshot + theta * (y - snapshot)
+            x_sum += x
         else:
-            state.eta = etas[s_epoch]
-            state.x = state.snapshot.copy()
+            x = problem.prox(eta, x - eta * u)
+        columns.add(x, eta,
+                    gt if gt % cfg.metric_every == 0 else None, gmap_row(t + 1))
 
-        columns.add(state.x, state.eta, None, gmap_row(0))
-        mu_scale = state.theta if accelerated else 1.0
-
-        def model_step(worker_id: int, version: int):
-            """Master side of a dispatch: broadcast message plus diagnostics."""
-            nonlocal violations, search_failures
-            msg, diag = model_message(
-                state.x, state.snapshot, cfg, master_rng, mu_scale=mu_scale
-            )
-            ledger.record_message(global_t(), "down", msg)
-            if diag["violation"]:
-                violations += 1
-            if diag["search_failed"]:
-                search_failures += 1
-            if msg.kind is not MessageKind.FLAG and diag["b_x_used"] is not None:
-                broadcasts.append(
-                    {
-                        "epoch": state.s,
-                        "version": version,
-                        "mu_required": diag["mu_required"],
-                        "b_x_used": diag["b_x_used"],
-                        "violation": diag["violation"],
-                        **{f"mu_required_b{w}": v
-                           for w, v in diag["mu_probes"].items()},
-                    }
-                )
-            return version, msg, diag
-
-        def worker_step(worker_id: int, dispatch):
-            """Worker side: sample a batch, differentiate at the received
-            model against the stored snapshot, compress. Touches only the
-            worker's own streams plus epoch-constant shared state."""
-            version, msg, diag = dispatch
-            batch = rng_of[worker_id].integers(0, problem.n, size=cfg.batch_size)
-            model = _decode_model(msg, state.snapshot)
-            alpha = problem.grad_batch(batch, model) - problem.grad_batch(
-                batch, state.snapshot
-            )
-            grad_msg = gradient_message(alpha, cfg, crng_of[worker_id])
-            nnz = grad_msg.content.nnz if grad_msg.kind is MessageKind.SPARSE else None
-            return _TaskMeta(
-                version=version,
-                grad_msg=grad_msg,
-                mu_req=diag["mu_required"],
-                b_x_used=diag["b_x_used"],
-                nnz=nnz,
-            )
-
-        def on_arrival(clock: int, worker_id: int, task: _TaskMeta):
-            ledger.record_message(global_t(), "up", task.grad_msg)
-
-        def apply_result(t: int, task: _TaskMeta, record: StalenessRecord):
-            nonlocal picked_iterate
-            state.t = t
-            gt = global_t()
-            if gt == pick:
-                picked_iterate = state.x.copy()
-
-            u = _decode_gradient(task.grad_msg) + state.snapshot_grad
-            if accelerated:
-                state.y = problem.prox(state.eta, state.y - state.eta * u)
-                state.x = state.snapshot + state.theta * (state.y - state.snapshot)
-                state.x_sum += state.x
-            else:
-                state.x = problem.prox(state.eta, state.x - state.eta * u)
-            state.t = t + 1
-            columns.add(state.x, state.eta,
-                        gt if gt % cfg.metric_every == 0 else None, gmap_row(t + 1))
-
-            row = {
-                "epoch": state.s,
+        metrics.append(
+            {
+                "epoch": epoch,
                 "t": t,
                 "t_global": gt,
                 "D_t": record.version,
@@ -617,22 +539,33 @@ def run_training(
                 "train_loss": None,  # filled from the metric columns
                 "grad_mapping_sq": None,
                 "cumulative_bits": ledger.total_bits,
-                "mu_required": task.mu_req,
-                "b_x_used": task.b_x_used,
-                "nnz_sent": task.nnz,
+                "mu_required": diag["mu_required"],
+                "b_x_used": diag["b_x_used"],
+                "nnz_sent": nnz,
+                "message_kind": grad_msg.kind.value,
+                "bits": grad_msg.bits,
             }
-            metrics.append(row)
-            trace.append(
-                {
-                    "t": gt,
-                    "D_t": state.s * cfg.m + record.version,
-                    "worker_id": record.worker_id,
-                    "epoch": state.s,
-                    "message_kind": task.grad_msg.kind.value,
-                    "bits": task.grad_msg.bits,
-                }
-            )
+        )
 
+    for epoch in range(cfg.epochs):
+        snapshot_grad = epoch_barrier(
+            problem, snapshot, len(workers), ledger, step=len(metrics)
+        )
+        eta = etas[epoch]
+        # the momentum weight also scales the model-precision budget
+        theta = momentum_weight(epoch + 1) if accelerated else 1.0
+        if accelerated:
+            # identical arrays at the very start must stay identical for the
+            # flag-bit path
+            if np.array_equal(y, snapshot):
+                x = snapshot.copy()
+            else:
+                x = snapshot + theta * (y - snapshot)
+            x_sum = np.zeros(problem.d)
+        else:
+            x = snapshot.copy()
+
+        columns.add(x, eta, None, gmap_row(0))
         if cfg.execution == "threads":
             run_inner_loop_threads(
                 workers, cfg.tau, cfg.m, model_step, worker_step, apply_result,
@@ -644,32 +577,24 @@ def run_training(
                 latency_rngs, on_arrival=on_arrival,
             )
 
-        columns.flush(state.eta)
-        if accelerated:
-            state.snapshot = state.x_sum / cfg.m
-        else:
-            state.snapshot = state.x.copy()
+        columns.flush(eta)
+        snapshot = x_sum / cfg.m if accelerated else x.copy()
 
     for row, loss, gmap in zip(metrics, columns.losses, columns.gmaps):
         row["train_loss"] = loss
         row["grad_mapping_sq"] = gmap
     gmaps = [g for g in columns.gmaps if g is not None]
-    if accelerated:
-        output = state.snapshot.copy()
-    else:
-        output = picked_iterate if picked_iterate is not None else state.x.copy()
 
     return RunResult(
         config=cfg,
         metrics=metrics,
         ledger=ledger,
-        trace=trace,
         broadcasts=broadcasts,
-        output=output,
-        final_x=state.x.copy(),
-        final_snapshot=state.snapshot.copy(),
-        violations=violations,
-        search_failures=search_failures,
+        output=snapshot.copy() if accelerated else picked_iterate,
+        final_x=x.copy(),
+        final_snapshot=snapshot.copy(),
+        violations=sum(row["violation"] for row in broadcasts),
+        search_failures=sum(row["search_failed"] for row in broadcasts),
         min_grad_mapping_sq=min(gmaps) if gmaps else None,
         eta_used=etas if accelerated else etas[0],
     )

@@ -82,11 +82,6 @@ class QuantGrid:
     def code_max(self) -> int:
         return (1 << (self.bits - 1)) - 1
 
-    @property
-    def hull(self) -> tuple[float, float]:
-        """Smallest and largest representable values."""
-        return self.code_min * self.delta, self.code_max * self.delta
-
 
 @dataclass(frozen=True, eq=False)
 class LowPrecisionVector:

@@ -27,7 +27,6 @@ applied within the epoch that produced it or discarded at the epoch barrier.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 from collections import deque
@@ -47,7 +46,6 @@ __all__ = [
     "StalenessRecord",
     "run_inner_loop",
     "epoch_barrier",
-    "write_trace_csv",
 ]
 
 
@@ -356,12 +354,3 @@ def epoch_barrier(
             ledger.record(step, "up", "full_barrier", full_bits(problem.d))
     return total / problem.n
 
-
-def write_trace_csv(path, rows: Sequence[dict]) -> None:
-    """Per-update trace: t, D(t), worker, epoch, gradient message kind, bits."""
-    fields = ["t", "D_t", "worker_id", "epoch", "message_kind", "bits"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

@@ -21,6 +21,7 @@ import pytest
 
 from dqsim import problems
 from dqsim.harness import parse_config, run_experiment
+from dqsim.optim import Algorithm
 from dqsim.problems import Dataset, write_libsvm
 
 _SYNTH = {"kind": "synth_logistic", "n": 300, "d": 20, "seed": 3,
@@ -134,6 +135,10 @@ def fingerprint(name: str, tmp_path: Path) -> tuple:
         path = tmp_path / "data.libsvm"
         _write_sparse_libsvm(path)
         raw["problem"] = {**raw["problem"], "path": str(path)}
+    return _fingerprint_of(raw)
+
+
+def _fingerprint_of(raw: dict) -> tuple:
     report = run_experiment(parse_config(raw))
     digests = tuple(
         hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -147,6 +152,21 @@ def test_golden_fingerprint(name, tmp_path, monkeypatch):
     if name == "libsvm_csr":
         monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
     assert fingerprint(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("algo", sorted(a.value for a in Algorithm))
+def test_threads_reproduce_simulated_run(algo, tmp_path):
+    # with one worker and tau = 0 the thread loop has one event order, so it
+    # must give the simulated run's bytes; this pins the state that the step
+    # functions share between the master and the worker thread
+    def run(execution):
+        return _fingerprint_of(
+            {"problem": _SYNTH,
+             "algo": {**_ALGO, "algo": algo, "tau": 0, "execution": execution},
+             "workers": {"count": 1, "latency": {"kind": "fixed", "ticks": 1}},
+             "run": {"out_dir": str(tmp_path / execution), "loss_target": None}})
+
+    assert run("threads") == run("simulated")
 
 
 if __name__ == "__main__":

@@ -82,6 +82,8 @@ class TestConfig:
             parse_config({"algo": {"learning_rate": 0.1}})
         with pytest.raises(ValueError, match="unknown"):
             parse_config({"extra_section": {}})
+        with pytest.raises(ValueError, match="unknown"):
+            parse_config({"run": {"repetitions": 3}})
 
     def test_missing_dataset_path_rejected(self):
         with pytest.raises(ValueError, match="path"):
@@ -155,6 +157,28 @@ class TestRunExperiment:
         first = next(r for r in res.metrics
                      if r["train_loss"] is not None and r["train_loss"] < 0.65)
         assert rep.bits_to_target == first["cumulative_bits"]
+
+    def test_search_failures_counted_and_reported(self, tmp_path):
+        # a zero budget admits no quantization error, so every quantized
+        # broadcast exhausts the width search and is sent at full precision
+        raw = {"problem": {"kind": "synth_logistic", "n": 100, "d": 20},
+               "algo": {"algo": "asylpg", "epochs": 2, "m": 8, "mu": 0.0,
+                        "seed": 3, "track_grad_mapping": False},
+               "run": {"loss_target": None, "out_dir": str(tmp_path)}}
+        cfg = parse_config(raw)
+        from dqsim.optim import run_training
+        res = run_training(build_problem(cfg.problem), cfg.algo_config(),
+                           build_workers(cfg.workers))
+        # 16 broadcasts, of which each epoch's first is a snapshot flag
+        assert len(res.broadcasts) == 14
+        assert all(row["search_failed"] for row in res.broadcasts)
+        assert res.search_failures == 14 and res.violations == 0
+        fulls = [r for r in res.ledger.rows
+                 if r.direction == "down" and r.kind == "full"]
+        assert len(fulls) == 14
+        run_experiment(cfg)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["search_failures"] == 14 and report["violations"] == 0
 
     def test_threshold_never_crossed(self):
         rep = run_experiment(base_config(loss_target=1e-9))

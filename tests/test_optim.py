@@ -371,6 +371,22 @@ class TestTheoryConstants:
         assert report["tau_bound"] == min(b for _, b in report["tau_bound_per_epoch"])
         assert report["theta"][0] == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("eta_mode", ["constant", "theory"])
+    def test_momentum_eta_schedule_is_the_run_schedule(self, eta_mode):
+        prob = logistic_problem(synth_dataset(300, 20, 3), 1e-3, 1e-3)
+        cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=3, m=5, eta=0.2,
+                         eta_mode=eta_mode, track_grad_mapping=False)
+        report = theory_constants(cfg, prob)
+        assert report["eta_schedule"] == run_training(prob, cfg).eta_used
+        if eta_mode == "constant":
+            # eta / theta with theta = 2 / (s + 2)
+            assert report["eta_schedule"] == pytest.approx([0.3, 0.4, 0.5])
+        else:
+            assert report["eta_schedule"] == [
+                1.0 / (cfg.sigma * prob.smoothness * momentum_weight(s))
+                for s in (1, 2, 3)
+            ]
+
 
 class TestCommunicationAccounting:
     def run_bits(self, algo, b, seed=31):

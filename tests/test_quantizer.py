@@ -205,7 +205,6 @@ class TestTypes:
             QuantGrid(-0.5, 4)
         grid = QuantGrid(0.5, 3)
         assert grid.code_min == -4 and grid.code_max == 3
-        assert grid.hull == (-2.0, 1.5)
 
     def test_lpv_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dqsim.codec import BitLedger
+from dqsim.harness import _write_trace_csv
 from dqsim.optim import make_streams
 from dqsim.problems import logistic_problem, synth_dataset
 from dqsim.simnet import (
@@ -16,7 +17,6 @@ from dqsim.simnet import (
     epoch_barrier,
     run_inner_loop,
     run_inner_loop_threads,
-    write_trace_csv,
 )
 
 
@@ -159,10 +159,11 @@ class TestInnerLoop:
         )
 
     def test_trace_csv(self, tmp_path):
-        rows = [{"t": 0, "D_t": 0, "worker_id": 1, "epoch": 0,
-                 "message_kind": "full", "bits": 64}]
+        # trace.csv is projected from the metrics rows: D_t = t - staleness
+        rows = [{"epoch": 0, "t": 0, "t_global": 0, "D_t": 0, "staleness": 0,
+                 "worker_id": 1, "message_kind": "full", "bits": 64}]
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, rows)
+        _write_trace_csv(path, rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,D_t,worker_id,epoch,message_kind,bits"
         assert lines[1] == "0,0,1,0,full,64"
