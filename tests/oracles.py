@@ -63,6 +63,37 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"no per-sample oracle for {type(problem).__name__}")
 
 
+def _csr_entries(data, rows):
+    """CSR entries of A[rows] for a unit-step slice or an array of row
+    indices: (row position in ``rows``, column, value) per entry, plus the
+    row count."""
+    if isinstance(rows, slice):
+        lo, hi, step = rows.indices(data.n)
+        assert step == 1
+        rows = np.arange(lo, hi)
+    idx = np.asarray(rows, dtype=np.int64)
+    counts = data.indptr[idx + 1] - data.indptr[idx]
+    pos = np.concatenate([np.arange(data.indptr[i], data.indptr[i + 1])
+                          for i in idx] + [np.zeros(0, dtype=np.int64)])
+    row_ids = np.repeat(np.arange(idx.size), counts)
+    return row_ids, data.indices[pos], data.values[pos], idx.size
+
+
+def csr_dot(data, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """A[rows] @ x as one weighted ``bincount``: each row's products summed
+    from zero in stored entry order, the order ``Dataset.dot`` keeps."""
+    row_ids, cols, vals, k = _csr_entries(data, rows)
+    return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
+
+
+def csr_tdot(data, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """A[rows].T @ w as one weighted ``bincount``: each column's products
+    summed from zero over the rows in order, the order ``Dataset.tdot``
+    keeps."""
+    row_ids, cols, vals, _ = _csr_entries(data, rows)
+    return np.bincount(cols, weights=vals * w[row_ids], minlength=data.d)
+
+
 def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
                        box: float | None = None, tol: float = 1e-10) -> float:
     """Ternary search for argmin_y lambda1*|y| + (y - value)^2 / (2 eta).

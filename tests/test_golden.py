@@ -154,11 +154,7 @@ def test_golden_fingerprint(name, tmp_path, monkeypatch):
     assert fingerprint(name, tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("algo", sorted(a.value for a in Algorithm))
-def test_threads_reproduce_simulated_run(algo, tmp_path):
-    # with one worker and tau = 0 the thread loop has one event order, so it
-    # must give the simulated run's bytes; this pins the state that the step
-    # functions share between the master and the worker thread
+def _threads_and_simulated(algo: str, tmp_path: Path) -> tuple:
     def run(execution):
         return _fingerprint_of(
             {"problem": _SYNTH,
@@ -166,7 +162,32 @@ def test_threads_reproduce_simulated_run(algo, tmp_path):
              "workers": {"count": 1, "latency": {"kind": "fixed", "ticks": 1}},
              "run": {"out_dir": str(tmp_path / execution), "loss_target": None}})
 
-    assert run("threads") == run("simulated")
+    return run("threads"), run("simulated")
+
+
+@pytest.mark.parametrize("algo", sorted(a.value for a in Algorithm))
+def test_threads_reproduce_simulated_run(algo, tmp_path):
+    # with one worker and tau = 0 the thread loop has one event order, so it
+    # must give the simulated run's bytes; this pins the state that the step
+    # functions share between the master and the worker thread
+    threads, simulated = _threads_and_simulated(algo, tmp_path)
+    assert threads == simulated
+
+
+def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
+    # the same on CSR storage, where the barrier and the metrics take
+    # scipy's whole-matrix products and the workers the gathered bincount
+    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    row_ranges = []
+
+    def counted(data, rows, inner=Dataset._row_range):
+        row_ranges.append(rows)
+        return inner(data, rows)
+
+    monkeypatch.setattr(Dataset, "_row_range", counted)
+    threads, simulated = _threads_and_simulated("sparse_asylpg", tmp_path)
+    assert row_ranges
+    assert threads == simulated
 
 
 if __name__ == "__main__":

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,8 @@ from dqsim.problems import (
     write_libsvm,
 )
 
-from oracles import finite_diff_grad, grad_sample, prox_bruteforce
+from oracles import (csr_dot, csr_tdot, finite_diff_grad, grad_sample,
+                     prox_bruteforce)
 
 
 def rng_of(seed=0):
@@ -174,6 +180,67 @@ def test_dense_and_csr_storage_agree(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_csr_products_match_bincount_reference(monkeypatch):
+    # scipy's csr_matvec and csc_matvec sum in the order of the weighted
+    # bincount, so every product keeps its bits; about 90 entries a column
+    # make any other order show
+    rng = rng_of(13)
+    n, d = 300, 40
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.3)
+    X[17] = 0.0  # an empty row
+    X[:, 5] = 0.0  # an empty column
+    rows, cols = np.nonzero(X)
+    vals = X[rows, cols]
+    # row 40 gets column 9 a second time, as its last entry
+    at = np.searchsorted(rows, 41)
+    rows, cols = np.insert(rows, at, 40), np.insert(cols, at, 9)
+    vals = np.insert(vals, at, 0.75)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    data = Dataset(indptr, cols, vals, np.ones(n), d)
+    assert data._dense is None
+    batch = np.array([40, 17, 3, 40, 299, 0, 17])
+    for scale in (1e-3, 1.0, 1e3):
+        x = rng.normal(size=d) * scale
+        w = rng.normal(size=n) * scale
+        for rows_ in (slice(None), slice(0, n), slice(11, 237), slice(40, 41),
+                      batch):
+            got, want = data.dot(x, rows_), csr_dot(data, x, rows_)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            k = want.size
+            got = data.tdot(w[:k], rows_)
+            want = csr_tdot(data, w[:k], rows_)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_scipy_is_imported_only_for_csr_storage():
+    # a dense-stored run never loads scipy; a CSR-stored Dataset does
+    script = """
+import sys, tempfile
+import numpy as np
+import dqsim
+from dqsim import problems
+from dqsim.harness import parse_config, run_experiment
+from dqsim.problems import Dataset
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(parse_config({
+        "problem": {"kind": "synth_logistic", "n": 60, "d": 5, "seed": 1,
+                    "lambda1": 1e-3, "lambda2": 1e-3},
+        "algo": {"algo": "asylpg", "epochs": 1, "m": 5, "eta": 0.2,
+                 "b_x": 6, "b": 6, "tau": 1, "batch_size": 2, "seed": 2},
+        "workers": {"count": 2},
+        "run": {"out_dir": out, "loss_target": None}}))
+assert "scipy" not in sys.modules, "dense run imported scipy"
+problems._DENSE_CACHE_LIMIT = 0
+Dataset.from_dense(np.eye(3), np.ones(3))
+assert "scipy" in sys.modules, "CSR storage did not import scipy"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 class _Quad1D(CompositeProblem):
     """f(x) = x^2/2 on one sample, h = 0."""
 
@@ -281,6 +348,28 @@ class TestLibsvm:
         path = tmp_path / "e.txt"
         path.write_text("1 2:1.0\n")
         assert load_libsvm(path, d=10).d == 10
+
+    def test_blank_lines_labels_and_explicit_dimension(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("\n1 2:0.5 4:-1.25\n\n0 1:3\n  \n-0.5 \n"
+                        "2.75 3:1e-3 1:2\n\n")
+        assert load_libsvm(path).d == 4
+        data = load_libsvm(path, d=6)
+        assert data.n == 4 and data.d == 6
+        for got, want in (
+                (data.labels, np.array([1.0, 0.0, -0.5, 2.75])),
+                (data.indptr, np.array([0, 2, 3, 3, 5], dtype=np.int64)),
+                (data.indices, np.array([1, 3, 0, 2, 0], dtype=np.int64)),
+                (data.values, np.array([0.5, -1.25, 3.0, 1e-3, 2.0]))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_features_needs_dimension(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("1\n-1\n")
+        with pytest.raises(ValueError, match="no features"):
+            load_libsvm(path)
+        assert load_libsvm(path, d=3).dense().shape == (2, 3)
 
     def test_roundtrip_exact_at_single_precision(self, tmp_path):
         rng = rng_of(10)
