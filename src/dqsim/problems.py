@@ -69,7 +69,7 @@ class Dataset:
     transpose, which sums each column over rows in order: the same order,
     and so the same bits, as a weighted ``np.bincount`` over the entries.
     A gathered batch keeps the ``bincount``: scipy's fancy row indexing
-    copies the rows first and measured 4-5x slower at 50 rows.
+    copies the rows first and measured 3-4.5x slower at 50 rows.
     """
 
     def __init__(self, indptr, indices, values, labels, d: int, *,
@@ -96,7 +96,7 @@ class Dataset:
             self._dense = dense if dense is not None else self.dense()
         else:
             # imported here, not at module top: scipy adds about 22 MB of
-            # memory and 0.15 s to a process, which dense storage never needs
+            # memory and 0.2 s to a process, which dense storage never needs
             from scipy.sparse import csr_array
 
             self._csr = csr_array((self.values, self.indices, self.indptr),
