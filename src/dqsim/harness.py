@@ -233,7 +233,7 @@ def _latency_model(spec: dict):
     raise ValueError(f"unknown latency kind {kind!r}")
 
 
-def oracle_best_loss(problem: CompositeProblem, iters: int = 2000) -> float:
+def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
     """Deterministic full-batch proximal-gradient run from the problem's
     initial point; returns the best objective seen. Serves as the reference
     optimum for loss targets and rate-bound checks."""
@@ -260,7 +260,7 @@ def resolve_loss_target(config: ExperimentConfig,
     if isinstance(target, (int, float)):
         return float(target)
     if target == "auto":
-        best = oracle_best_loss(problem, config.run.get("oracle_iters", 2000))
+        best = oracle_best_loss(problem, config.run["oracle_iters"])
         start = problem.objective(problem.initial_point())
         return best + 0.1 * (start - best)
     raise ValueError(f"loss_target must be a number, 'auto', or null; got {target!r}")

@@ -7,15 +7,16 @@ lives inside f so that h is exactly the L1 norm and its prox is the
 coordinatewise soft threshold) and a small fully-connected ReLU network with
 softmax loss and L2 weight decay (h = 0, prox = identity).
 
-``Dataset`` is the one place that picks how rows are stored, once, when it is
-built: its row products run on a dense copy when ``n * d <=
-_DENSE_CACHE_LIMIT`` and on the CSR arrays otherwise. On CSR, products over
-the whole matrix or a row range (the metrics, the set-up oracle and the
-epoch barrier) go through scipy's compiled ``csr_matvec`` and, on the
-transpose, ``csc_matvec``; products over a gathered batch of rows (the
-workers' ``grad_batch``) stay on one weighted ``np.bincount``. Both sum each
-output in the same order, so they give the same bits. The logistic kernels
-use only those products; the MLP reads the dense copy directly.
+``Dataset`` is the one place that picks how the matrix is stored, once, when
+it is built, and it stores it once: as a dense array when ``n * d <=
+_DENSE_CACHE_LIMIT``, as a scipy CSR array otherwise. A column named twice in
+a row holds the sum of its entries on both. On CSR, products over the whole
+matrix or a row range (the metrics, the set-up oracle and the epoch barrier)
+go through scipy's compiled ``csr_matvec`` and, on the transpose,
+``csc_matvec``; products over a gathered batch of rows (the workers'
+``grad_batch``) stay on one weighted ``np.bincount``. Both sum each output in
+the same order, so they give the same bits. The logistic kernels use only
+those products; the MLP reads the dense matrix directly.
 
 ``CompositeProblem.objective_and_grad`` gives the objective and the full
 gradient at one iterate together; the logistic problem computes the margins
@@ -24,7 +25,7 @@ gradient at one iterate together; the logistic problem computes the margins
 the gradient mapping of a block of iterates. By default it evaluates one
 iterate at a time through ``objective_and_grad``, and only where a gradient
 mapping is asked for. ``LogisticProblem.metric_block`` evaluates a block on
-the dense copy with two matrix-matrix products, so each iterate's value is
+the dense array with two matrix-matrix products, so each iterate's value is
 rounded as a GEMM column, not as the matrix-vector product ``objective`` and
 ``gradient_mapping_norm`` take. Runs, the loss-target oracle and its start
 objective all begin at the problem's ``initial_point``.
@@ -51,73 +52,76 @@ __all__ = [
     "synth_multiclass_dataset",
 ]
 
-# Row count * dim up to which a Dataset computes its products on a dense copy
-# of the matrix; above it they run on the CSR arrays.
+# Row count * dim up to which a Dataset stores its matrix as a dense array;
+# above it, as a CSR array.
 _DENSE_CACHE_LIMIT = 20_000_000
 
 
 class Dataset:
-    """Row-sparse dataset (CSR index arrays) with one label per row.
-
-    ``dense``, when given, is the same matrix as a C-contiguous array; it is
-    then the dense copy the products use, instead of a new one.
-
-    Without a dense copy, the constructor wraps the CSR arrays, without
-    copying them, in one ``scipy.sparse.csr_array``. ``dot`` over the whole
-    matrix or a row range is its ``csr_matvec``, which sums each row's
-    entries in stored order from zero, and ``tdot`` is ``csc_matvec`` on its
-    transpose, which sums each column over rows in order: the same order,
-    and so the same bits, as a weighted ``np.bincount`` over the entries.
-    A gathered batch keeps the ``bincount``: scipy's fancy row indexing
-    copies the rows first and measured 3-4.5x slower at 50 rows.
+    """A matrix with one label per row, built from CSR arrays and stored
+    once, as the module docstring says. A CSR-stored dataset wraps the input
+    arrays without copying them: they are its ``indptr``, ``indices`` and
+    ``values``, which a dense-stored one does not have. A gathered batch of
+    rows takes the ``bincount``, as scipy's fancy row indexing copies the
+    rows first and measured 3-4.5x slower at 50 rows.
     """
 
-    def __init__(self, indptr, indices, values, labels, d: int, *,
-                 dense: np.ndarray | None = None):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        self.d = int(d)
-        self.n = self.labels.size
-        if self.n < 1:
-            raise ValueError("dataset must contain at least one row")
-        if self.indptr.shape != (self.n + 1,):
+    def __init__(self, indptr, indices, values, labels, d: int):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        n, d = np.size(labels), int(d)
+        if indptr.shape != (n + 1,):
             raise ValueError("indptr length must be n + 1")
-        if self.indices.size and self.indices.max() >= self.d:
-            raise ValueError("feature index exceeds dimension")
-        if self.indices.size and self.indices.min() < 0:
-            raise ValueError("negative feature index")
-        counts = np.diff(self.indptr)
-        self._row_of = np.repeat(np.arange(self.n), counts)
-        # the dense copy dot and tdot use, or None when they use CSR
-        self._dense: np.ndarray | None = None
-        if self.n * self.d <= _DENSE_CACHE_LIMIT:
-            self._dense = dense if dense is not None else self.dense()
+        if indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
+        if np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must not decrease")
+        if indptr[-1] != indices.size:
+            raise ValueError("indptr must end at the number of indices")
+        if values.shape != indices.shape:
+            raise ValueError("values and indices must have the same length")
+        if indices.size and not 0 <= indices.min() <= indices.max() < d:
+            raise ValueError("feature index outside [0, d)")
+        if n * d <= _DENSE_CACHE_LIMIT:
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            matrix = np.bincount(rows * d + indices, weights=values,
+                                 minlength=n * d).reshape(n, d)
         else:
             # imported here, not at module top: scipy adds about 22 MB of
             # memory and 0.2 s to a process, which dense storage never needs
             from scipy.sparse import csr_array
 
-            self._csr = csr_array((self.values, self.indices, self.indptr),
-                                  shape=(self.n, self.d))
+            matrix = csr_array((values, indices, indptr), shape=(n, d))
+        self._store(matrix, labels)
+
+    def _store(self, matrix, labels) -> None:
+        self.labels = np.asarray(labels, dtype=np.float64)
+        self.n, self.d = matrix.shape
+        if self.n < 1 or self.d < 1:
+            raise ValueError("dataset needs at least one row and one column")
+        if self.labels.shape != (self.n,):
+            raise ValueError("need one label per row")
+        self._dense = matrix if isinstance(matrix, np.ndarray) else None
+        if self._dense is None:
+            self._csr, self.indptr = matrix, matrix.indptr
+            self.indices, self.values = matrix.indices, matrix.data
 
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
+        """Dense storage keeps a C-contiguous float64 ``X`` itself, no copy."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        n, d = X.shape
-        indptr = np.arange(n + 1, dtype=np.int64) * d
-        indices = np.tile(np.arange(d, dtype=np.int64), n)
-        return cls(indptr, indices, X.ravel(), labels, d, dense=X)
+        if X.size > _DENSE_CACHE_LIMIT:
+            rows, cols = np.nonzero(X)
+            indptr = np.searchsorted(rows, np.arange(len(X) + 1))
+            return cls(indptr, cols, X[rows, cols], labels, X.shape[1])
+        data = cls.__new__(cls)
+        data._store(X, labels)
+        return data
 
     def dense(self) -> np.ndarray:
-        """The matrix as a dense array: the copy the products use, or a new
-        array when they use CSR."""
-        if self._dense is not None:
-            return self._dense
-        X = np.zeros((self.n, self.d))
-        X[self._row_of, self.indices] = self.values
-        return X
+        """The matrix as a dense array, a new one on CSR storage."""
+        return self._dense if self._dense is not None else self._csr.toarray()
 
     def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
@@ -158,7 +162,14 @@ class Dataset:
         return row_ids, self.indices[pos], self.values[pos], idx.size
 
     def row_norms_sq(self) -> np.ndarray:
-        return np.bincount(self._row_of, weights=self.values**2, minlength=self.n)
+        """Each row's squared norm, summed in column order from zero."""
+        if self._dense is not None:
+            sq = np.square(self._dense)
+            return np.cumsum(sq, axis=1, out=sq)[:, -1].copy()
+        A = self._csr.copy()
+        A.sum_duplicates()  # a no-op on sorted rows without repeats
+        np.square(A.data, out=A.data)
+        return A @ np.ones(self.d)
 
 
 def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -296,7 +307,7 @@ class LogisticProblem(CompositeProblem):
 
     def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
         """As ``CompositeProblem.metric_block``, from two matrix-matrix
-        products on the dense copy; the second is skipped when every ``eta``
+        products on the dense array; the second is skipped when every ``eta``
         is None. On CSR, where a block saves nothing, it evaluates one
         iterate at a time.
 
@@ -509,15 +520,17 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
 
 
 def write_libsvm(path, data: Dataset) -> None:
-    """Emit the text format with shortest-roundtrip value strings, so reading
-    the file back reproduces every stored value exactly."""
+    """Emit the text format, a dense-stored row as its nonzero entries, with
+    shortest-roundtrip value strings: reading it back gives the same matrix."""
     with open(path, "w") as fh:
         for i in range(data.n):
-            lo, hi = data.indptr[i], data.indptr[i + 1]
-            feats = " ".join(
-                f"{int(j) + 1}:{float(v)!r}"
-                for j, v in zip(data.indices[lo:hi], data.values[lo:hi])
-            )
+            if data._dense is None:
+                lo, hi = data.indptr[i], data.indptr[i + 1]
+                cols, vals = data.indices[lo:hi], data.values[lo:hi]
+            else:
+                cols = np.flatnonzero(data._dense[i])
+                vals = data._dense[i, cols]
+            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(cols, vals))
             label = data.labels[i]
             label_s = f"{int(label)}" if label == int(label) else repr(float(label))
             fh.write(f"{label_s} {feats}\n".rstrip() + "\n")

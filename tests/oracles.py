@@ -30,19 +30,15 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
     logistic or MLP problem; the program itself has no per-sample gradient.
 
     Logistic: log(1 + exp(-y_i <a_i, x>)) has gradient -y_i sigmoid(-m) a_i
-    at margin m = y_i <a_i, x>, read from row i's CSR entries. MLP: softmax
+    at margin m = y_i <a_i, x>, with a_i row i of the matrix. MLP: softmax
     cross-entropy backpropagated by hand through one row.
     """
     if isinstance(problem, LogisticProblem):
-        data = problem.data
-        lo, hi = data.indptr[i], data.indptr[i + 1]
-        idx, vals = data.indices[lo:hi], data.values[lo:hi]
-        y = 1.0 if data.labels[i] > 0 else -1.0
-        margin = y * float(vals @ x[idx])
+        a = problem.data.dense()[i]
+        y = 1.0 if problem.data.labels[i] > 0 else -1.0
+        margin = y * float(a @ x)
         sigmoid_neg = 0.5 * (1.0 - math.tanh(0.5 * margin))  # 1 / (1 + e^m)
-        g = problem.lambda2 * x.copy()
-        g[idx] += -y * sigmoid_neg * vals
-        return g
+        return problem.lambda2 * x - y * sigmoid_neg * a
     if isinstance(problem, MLPProblem):
         h, c, d_in = problem.hidden, problem.num_classes, problem.d_in
         w1 = x[:h * d_in].reshape(h, d_in)

@@ -52,10 +52,7 @@ class TestLogistic:
             x = rng.normal(size=prob.d)
 
             def f_i(z, i=i):
-                lo, hi = prob.data.indptr[i], prob.data.indptr[i + 1]
-                margin = prob.y[i] * float(
-                    prob.data.values[lo:hi] @ z[prob.data.indices[lo:hi]]
-                )
+                margin = prob.y[i] * float(prob.data.dense()[i] @ z)
                 return np.logaddexp(0.0, -margin) + 0.5 * prob.lambda2 * float(z @ z)
 
             g = grad_sample(prob, i, x)
@@ -120,8 +117,8 @@ class TestLogistic:
 
     def test_accepts_zero_one_labels(self):
         data = synth_dataset(20, 4, 0)
-        data01 = Dataset(data.indptr, data.indices, data.values,
-                         (data.labels > 0).astype(float), data.d)
+        data01 = Dataset.from_dense(data.dense(),
+                                    (data.labels > 0).astype(float))
         prob = logistic_problem(data01, 0.0, 0.0)
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
 
@@ -146,8 +143,8 @@ class TestLogistic:
 
 
 class TestLogisticCSR(TestLogistic):
-    """Every TestLogistic case again with the dense cache off, so the
-    logistic kernels run on the CSR arrays."""
+    """Every TestLogistic case again with the dense limit at 0, so the
+    logistic kernels run on CSR storage."""
 
     @pytest.fixture(autouse=True)
     def csr_storage(self, monkeypatch):
@@ -239,6 +236,60 @@ assert "scipy" in sys.modules, "CSR storage did not import scipy"
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.fixture(params=["dense", "csr"])
+def storage(request, monkeypatch):
+    """Run a test once per storage; a Dataset picks it when built."""
+    if request.param == "csr":
+        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    return request.param
+
+
+def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("1 3:1 3:2\n-1 1:5\n")
+    data = load_libsvm(path)
+    np.testing.assert_array_equal(data.dense(), [[0.0, 0.0, 3.0],
+                                                 [5.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
+    np.testing.assert_array_equal(data.dot(np.ones(3), np.array([0])), [3.0])
+    np.testing.assert_array_equal(data.tdot(np.ones(2)), [5.0, 0.0, 3.0])
+    np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
+    # the caller's arrays stay as given
+    indices, values = np.array([2, 2, 0]), np.array([1.0, 2.0, 5.0])
+    data = Dataset([0, 2, 3], indices, values, [1.0, -1.0], 3)
+    np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
+    np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
+    np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(indices, [2, 2, 0])
+    np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("indptr, indices, values, fault", [
+    ([0, 1, 2], [0, 1], [1.0], "same length"),
+    ([1, 1, 2], [0], [1.0], "start at 0"),
+    ([0, 2, 1], [0], [1.0], "not decrease"),
+    ([0, 1, 1], [0, 1], [1.0, 2.0], "end at the number of indices"),
+    ([0, 1, 3], [0, 1], [1.0, 2.0], "end at the number of indices"),
+    ([0, 1], [0], [1.0], "n \\+ 1"),
+], ids=["values_short", "start_1", "decreasing", "end_short", "end_long",
+        "indptr_short"])
+def test_malformed_csr_is_rejected_on_both_storages(storage, indptr, indices,
+                                                    values, fault):
+    with pytest.raises(ValueError, match=fault):
+        Dataset(indptr, indices, values, np.ones(2), 2)
+
+
+def test_dense_storage_holds_the_matrix_and_labels_only():
+    data = synth_dataset(60, 8, seed=3)
+    arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2
+    assert any(a is data.dense() for a in arrays)
+    assert any(a is data.labels for a in arrays)
+    assert not any(hasattr(data, k) for k in ("indptr", "indices", "values"))
+    X = rng_of(14).normal(size=(30, 5))
+    assert Dataset.from_dense(X, np.ones(30)).dense() is X
 
 
 class _Quad1D(CompositeProblem):
@@ -349,18 +400,31 @@ class TestLibsvm:
         path.write_text("1 2:1.0\n")
         assert load_libsvm(path, d=10).d == 10
 
-    def test_blank_lines_labels_and_explicit_dimension(self, tmp_path):
+    def test_blank_lines_labels_and_explicit_dimension(self, tmp_path,
+                                                       monkeypatch):
         path = tmp_path / "f.txt"
         path.write_text("\n1 2:0.5 4:-1.25\n\n0 1:3\n  \n-0.5 \n"
                         "2.75 3:1e-3 1:2\n\n")
         assert load_libsvm(path).d == 4
+        matrix = np.zeros((4, 6))
+        matrix[0, [1, 3]] = 0.5, -1.25
+        matrix[1, 0] = 3.0
+        matrix[3, [2, 0]] = 1e-3, 2.0
+        labels = np.array([1.0, 0.0, -0.5, 2.75])
         data = load_libsvm(path, d=6)
         assert data.n == 4 and data.d == 6
+        for got, want in ((data.labels, labels), (data.dense(), matrix)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        # CSR storage keeps the entries as read
+        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+        data = load_libsvm(path, d=6)
         for got, want in (
-                (data.labels, np.array([1.0, 0.0, -0.5, 2.75])),
+                (data.labels, labels),
                 (data.indptr, np.array([0, 2, 3, 3, 5], dtype=np.int64)),
                 (data.indices, np.array([1, 3, 0, 2, 0], dtype=np.int64)),
-                (data.values, np.array([0.5, -1.25, 3.0, 1e-3, 2.0]))):
+                (data.values, np.array([0.5, -1.25, 3.0, 1e-3, 2.0])),
+                (data.dense(), matrix)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -371,7 +435,7 @@ class TestLibsvm:
             load_libsvm(path)
         assert load_libsvm(path, d=3).dense().shape == (2, 3)
 
-    def test_roundtrip_exact_at_single_precision(self, tmp_path):
+    def test_roundtrip_exact_at_single_precision(self, tmp_path, monkeypatch):
         rng = rng_of(10)
         n, d = 25, 12
         rows = []
@@ -384,24 +448,27 @@ class TestLibsvm:
             values.extend(vals)
             indptr.append(len(indices))
         labels = rng.choice([-1.0, 1.0], size=n)
-        data = Dataset(indptr, indices, values, labels, d)
         path = tmp_path / "rt.txt"
-        write_libsvm(path, data)
-        back = load_libsvm(path, d=d)
-        np.testing.assert_array_equal(back.labels, data.labels)
-        np.testing.assert_array_equal(back.indptr, data.indptr)
-        np.testing.assert_array_equal(back.indices, data.indices)
-        np.testing.assert_array_equal(back.values, data.values)
+        for limit in (problems._DENSE_CACHE_LIMIT, 0):
+            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", limit)
+            data = Dataset(indptr, indices, values, labels, d)
+            write_libsvm(path, data)
+            back = load_libsvm(path, d=d)
+            np.testing.assert_array_equal(back.labels, data.labels)
+            np.testing.assert_array_equal(back.dense(), data.dense())
+        np.testing.assert_array_equal(back.indptr, indptr)
+        np.testing.assert_array_equal(back.indices, indices)
+        np.testing.assert_array_equal(back.values, values)
 
 
 class TestSynth:
     def test_deterministic_under_seed(self):
         a = synth_dataset(50, 10, seed=42)
         b = synth_dataset(50, 10, seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.dense(), b.dense())
         np.testing.assert_array_equal(a.labels, b.labels)
         c = synth_dataset(50, 10, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a.dense(), c.dense())
 
     def test_separable_data_trains_to_high_accuracy(self):
         data = synth_dataset(1000, 50, seed=0, flip_prob=0.0)
