@@ -243,7 +243,6 @@ def storage(request, monkeypatch):
     """Run a test once per storage; a Dataset picks it when built."""
     if request.param == "csr":
         monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-    return request.param
 
 
 def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
@@ -264,6 +263,21 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 3.0])
     np.testing.assert_array_equal(indices, [2, 2, 0])
     np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
+
+
+def test_row_norms_sum_each_row_in_column_order(storage):
+    # the smoothness estimate reads these bits; 300 columns make numpy's
+    # pairwise summation show
+    rng = rng_of(15)
+    X = rng.normal(size=(20, 300)) * (rng.random((20, 300)) < 0.5)
+    want = []
+    for row in X:
+        total = 0.0
+        for v in row:
+            total += float(v) * float(v)
+        want.append(total)
+    got = Dataset.from_dense(X, np.ones(20)).row_norms_sq()
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("indptr, indices, values, fault", [
