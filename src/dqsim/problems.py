@@ -10,13 +10,13 @@ softmax loss and L2 weight decay (h = 0, prox = identity).
 ``Dataset`` is the one place that picks how the matrix is stored, once, when
 it is built, and it stores it once: as a dense array when ``n * d <=
 _DENSE_CACHE_LIMIT``, as a scipy CSR array otherwise. A column named twice in
-a row holds the sum of its entries on both. On CSR, products over the whole
-matrix or a row range (the metrics, the set-up oracle and the epoch barrier)
-go through scipy's compiled ``csr_matvec`` and, on the transpose,
-``csc_matvec``; products over a gathered batch of rows (the workers'
-``grad_batch``) stay on one weighted ``np.bincount``. Both sum each output in
-the same order, so they give the same bits. The logistic kernels use only
-those products; the MLP reads the dense matrix directly.
+a row holds the sum of its entries on both. On CSR, the whole matrix, its
+transpose and row ranges (the metrics, the set-up oracle and the epoch
+barrier) go through scipy's compiled ``csr_matvec``/``csc_matvec`` or, on a
+block of columns, ``csr_matvecs``/``csc_matvecs``; a gathered batch of rows
+(the workers' ``grad_batch``) takes one weighted ``np.bincount``. All sum each
+output in the same order, so they give the same bits. The logistic kernels
+use only those products; the MLP reads the dense matrix directly.
 
 ``CompositeProblem.objective_and_grad`` gives the objective and the full
 gradient at one iterate together; the logistic problem computes the margins
@@ -25,10 +25,10 @@ gradient at one iterate together; the logistic problem computes the margins
 the gradient mapping of a block of iterates. By default it evaluates one
 iterate at a time through ``objective_and_grad``, and only where a gradient
 mapping is asked for. ``LogisticProblem.metric_block`` evaluates a block on
-the dense array with two matrix-matrix products, so each iterate's value is
-rounded as a GEMM column, not as the matrix-vector product ``objective`` and
-``gradient_mapping_norm`` take. Runs, the loss-target oracle and its start
-objective all begin at the problem's ``initial_point``.
+either storage with two block products and a shared elementwise pass, which
+rounds differently from ``objective`` and ``gradient_mapping_norm``, as on
+dense storage the GEMM columns do too. Runs, the loss-target oracle and its
+start objective all begin at the problem's ``initial_point``.
 """
 
 from __future__ import annotations
@@ -124,31 +124,41 @@ class Dataset:
         return self._dense if self._dense is not None else self._csr.toarray()
 
     def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
-        whole matrix) or an array of row indices, repeats allowed."""
+        """A[rows] @ x for a vector or a d x K block ``x``. ``rows`` is a
+        unit-step slice (the default is the whole matrix) or an array of row
+        indices, repeats allowed. On CSR a row range slices ``A @ x``."""
         if self._dense is not None:
             return self._dense[rows] @ x
         if isinstance(rows, slice):
-            return self._row_range(rows) @ x
+            lo, hi = self._row_range(rows)
+            return (self._csr @ x)[lo:hi]
         row_ids, cols, vals, k = self._gather(rows)
         return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
 
-    def tdot(self, w: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """A[rows].T @ w, with ``rows`` as in ``dot``."""
+    def tdot(self, w: np.ndarray, rows=slice(None),
+             cols=slice(None)) -> np.ndarray:
+        """A[rows].T @ w[..., cols] for a vector or an n x K block ``w``,
+        with ``rows`` as in ``dot``; a vector keeps the bits of ``w @ A``.
+        Dense storage multiplies the whole block, as a narrower GEMM rounds
+        differently, and picks the columns after; CSR multiplies only those,
+        and a row range as the whole transpose times ``w`` zero-padded."""
         if self._dense is not None:
-            return w @ self._dense[rows]
-        if isinstance(rows, slice):
-            return self._row_range(rows).T @ w  # .T is a CSC view, no copy
-        row_ids, cols, vals, _ = self._gather(rows)
-        return np.bincount(cols, weights=vals * w[row_ids], minlength=self.d)
+            return (self._dense[rows].T @ w)[..., cols]
+        if not isinstance(rows, slice):
+            row_ids, idx, vals, _ = self._gather(rows)
+            return np.bincount(idx, weights=vals * w[row_ids], minlength=self.d)
+        w = w[..., cols]
+        lo, hi = self._row_range(rows)
+        if (lo, hi) != (0, self.n):
+            w = np.pad(w, [(lo, self.n - hi)] + [(0, 0)] * (w.ndim - 1))
+        return self._csr.T @ w  # .T is a CSC view, no copy
 
-    def _row_range(self, rows: slice):
-        """A[rows] as a CSR array: the stored one for the whole matrix, a
-        copy of the rows otherwise."""
+    def _row_range(self, rows: slice) -> tuple[int, int]:
+        """The bounds of a unit-step row slice."""
         lo, hi, step = rows.indices(self.n)
         if step != 1:
             raise ValueError("row slices must have unit step")
-        return self._csr if (lo, hi) == (0, self.n) else self._csr[lo:hi]
+        return lo, hi
 
     def _gather(self, rows):
         """CSR entries of A[rows] for an array of row indices: (row position
@@ -166,10 +176,10 @@ class Dataset:
         if self._dense is not None:
             sq = np.square(self._dense)
             return np.cumsum(sq, axis=1, out=sq)[:, -1].copy()
-        A = self._csr.copy()
+        A = self._csr if self._csr.has_canonical_format else self._csr.copy()
         A.sum_duplicates()  # a no-op on sorted rows without repeats
-        np.square(A.data, out=A.data)
-        return A @ np.ones(self.d)
+        sq = type(A)((np.square(A.data), A.indices, A.indptr), shape=A.shape)
+        return sq @ np.ones(self.d)
 
 
 def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -306,44 +316,34 @@ class LogisticProblem(CompositeProblem):
         return loss, (grad + self.n * self.lambda2 * x) / self.n
 
     def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
-        """As ``CompositeProblem.metric_block``, from two matrix-matrix
-        products on the dense array; the second is skipped when every ``eta``
-        is None. On CSR, where a block saves nothing, it evaluates one
-        iterate at a time.
-
-        Both products keep the iterate index on the column side, with the
-        iterates as a column-major operand, so that a column rounds the same
-        at any block width. A single iterate is evaluated as two copies,
-        because a one-column product takes the matrix-vector path and rounds
-        differently. Each iterate's reductions run on its own 1-D arrays, as
-        in the per-iterate calls, which the values match up to rounding.
-        """
-        A = self.data._dense
-        if A is None:
-            return super().metric_block(xs, etas)
+        """As ``CompositeProblem.metric_block``, on either storage, from one
+        product ``A @ X`` and one ``A.T @ W`` over the columns that have an
+        ``eta``. The iterates are a column-major operand, so that a dense
+        GEMM column rounds the same at any block width, and a single iterate
+        goes in twice, as a one-column product takes the matrix-vector path.
+        Each iterate's reductions run on its own 1-D arrays. The values match
+        the per-iterate calls up to the rounding of the shared pass below
+        and, on dense storage only, of the GEMM columns."""
         stacked = np.array(xs if len(xs) > 1 else xs * 2)  # row j is xs[j]
-        G = A @ stacked.T
-        C = np.zeros_like(G.T)
-        objectives = []
+        G = self.data.dot(stacked.T)  # column j: margins, then coefficients
+        out = []
         for j, x in enumerate(xs):
             margins = self.y * G[:, j]
             # log(1 + exp(-+m)) = max(-+m, 0) + log1p(exp(-|m|)): the loss
             # and sigmoid(-m) = exp(-log(1 + exp(m))) share one vectorized
             # pass, where logaddexp would take two scalar ones
             soft = np.log1p(np.exp(-np.abs(margins)))
-            objectives.append(self._f(np.maximum(-margins, 0.0) + soft, x)
-                              + self.h_value(x))
-            C[j] = -self.y * np.exp(-(np.maximum(margins, 0.0) + soft))
-        if all(eta is None for eta in etas):
-            return [(obj, None) for obj in objectives]
-        S = A.T @ C.T  # column j is the loss-gradient sum at xs[j]
-        out = []
-        for j, (x, eta) in enumerate(zip(xs, etas)):
-            gmap = None
-            if eta is not None:
-                grad = (S[:, j] + self.n * self.lambda2 * x) / self.n
-                gmap = _mapping_sq(self, x, eta, grad)
-            out.append((objectives[j], gmap))
+            loss = self._f(np.maximum(-margins, 0.0) + soft, x)
+            out.append((loss + self.h_value(x), None))
+            G[:, j] = -self.y * np.exp(-(np.maximum(margins, 0.0) + soft))
+        mapped = [j for j, eta in enumerate(etas) if eta is not None]
+        if not mapped:
+            return out
+        every = len(mapped) == G.shape[1]  # a slice picks them uncopied
+        S = self.data.tdot(G, cols=slice(None) if every else mapped)
+        for i, j in enumerate(mapped):  # S[:, i]: loss-gradient sum at xs[j]
+            grad = (S[:, i] + self.n * self.lambda2 * xs[j]) / self.n
+            out[j] = (out[j][0], _mapping_sq(self, xs[j], etas[j], grad))
         return out
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ GOLDEN = {
         '0.6792009902611621',
     ),
     'libsvm_csr': (
-        '7021e3429dbbbd257c38f65700e571132a969330b4539b7144983663a31cd771',
+        'e91be46abeaa0a3a410e2dd09bd8abdfdf2079ea09bc2e4f7a5edc8db850f442',
         '031b35020bb4b25e0483bbc9ea64415d3d69baf4b2416a16f14f3ec5f6e9a636',
         'a71153b1b62d41cbd45e945120d2a48c2863cd4d66117fafb6f2b7cf5cb3b77e',
         37207,

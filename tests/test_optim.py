@@ -517,10 +517,15 @@ class TestMetricColumns:
             [None] * width
 
     @pytest.mark.parametrize("algo", [Algorithm.ASYLPG, Algorithm.ACC_ASYLPG])
-    @pytest.mark.parametrize("box", [None, 0.05])
-    def test_run_matches_per_iterate_evaluation(self, algo, box, monkeypatch):
+    @pytest.mark.parametrize("box,storage", [
+        (None, "dense"), (0.05, "dense"), (None, "csr"), (0.05, "csr"),
+    ], ids=["None", "0.05", "None-csr", "0.05-csr"])
+    def test_run_matches_per_iterate_evaluation(self, algo, box, storage,
+                                                monkeypatch):
         # the momentum variant's step size changes every epoch; with the
         # base class's metric_block the run evaluates per iterate
+        if storage == "csr":
+            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
         prob = logistic_problem(synth_dataset(150, 25, 8), 0.02, 1e-3,
                                 box_radius=box)
         cfg = AlgoConfig(algo=algo, epochs=3, m=20, eta=0.2, b_x=6, b=6,
@@ -541,11 +546,17 @@ class TestMetricColumns:
             per_iterate.min_grad_mapping_sq, rel=1e-12)
         assert blocked.ledger.total_bits == per_iterate.ledger.total_bits
 
-    @pytest.mark.parametrize("execution", ["simulated", "threads"])
+    @pytest.mark.parametrize("execution,storage", [
+        ("simulated", "dense"), ("threads", "dense"),
+        ("simulated", "csr"), ("threads", "csr"),
+    ], ids=["simulated", "threads", "simulated-csr", "threads-csr"])
     def test_dense_run_makes_no_per_iterate_metric_call(self, execution,
-                                                        monkeypatch):
+                                                        storage, monkeypatch):
         def refuse(*args):
             raise AssertionError("a metric was evaluated per iterate")
+
+        if storage == "csr":
+            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
 
         monkeypatch.setattr(CompositeProblem, "objective", refuse)
         monkeypatch.setattr(CompositeProblem, "metric_block", refuse)
@@ -562,27 +573,30 @@ class TestMetricColumns:
 
     def test_csr_loss_only_columns_take_no_gradient(self, monkeypatch):
         # with metric_every=3 a metric column feeds a train_loss or a
-        # grad_mapping_sq, never both; only the latter may cost A.T @ w
+        # grad_mapping_sq, never both; only the latter may cost a column of
+        # the transposed product, which on CSR storage is a CSC product
+        from scipy.sparse import csc_array
+
         monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
         prob = logistic_problem(synth_dataset(90, 12, 4), 1e-3, 1e-3)
-        tdots = []
-        inner_tdot = Dataset.tdot
+        columns = []
+        inner_matmul = csc_array.__matmul__
 
-        def counted_tdot(data, *args):
-            tdots.append(1)
-            return inner_tdot(data, *args)
+        def counted_matmul(matrix, w):
+            columns.append(w.shape[1] if np.ndim(w) == 2 else 1)
+            return inner_matmul(matrix, w)
 
-        blocks = []  # (loss-only columns, mapping columns, tdot calls)
+        blocks = []  # (loss-only columns, mapping columns, product columns)
         inner_block = LogisticProblem.metric_block
 
         def counted_block(self, xs, etas):
-            before = len(tdots)
+            before = len(columns)
             out = inner_block(self, xs, etas)
             mapped = sum(eta is not None for eta in etas)
-            blocks.append((len(etas) - mapped, mapped, len(tdots) - before))
+            blocks.append((len(etas) - mapped, mapped, sum(columns[before:])))
             return out
 
-        monkeypatch.setattr(Dataset, "tdot", counted_tdot)
+        monkeypatch.setattr(csc_array, "__matmul__", counted_matmul)
         monkeypatch.setattr(LogisticProblem, "metric_block", counted_block)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, metric_every=3)
@@ -590,7 +604,7 @@ class TestMetricColumns:
         res = run_training(prob, cfg, workers)
         assert sum(loss_only for loss_only, _, _ in blocks) == 8
         assert sum(mapped for _, mapped, _ in blocks) == 8
-        assert all(mapped == calls for _, mapped, calls in blocks)
+        assert all(mapped == cols for _, mapped, cols in blocks)
         for row in res.metrics:
             kept = row["t_global"] % 3 == 0
             assert (row["train_loss"] is not None) == kept

@@ -210,6 +210,36 @@ def test_csr_products_match_bincount_reference(monkeypatch):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("width", [2, 7])
+def test_csr_metric_block_keeps_per_iterate_product_bits(width, monkeypatch):
+    # on CSR each column of the block's A @ X and A.T @ W has the bits of
+    # the per-iterate A @ x and A.T @ w (csr_matvec, csc_matvec), and the
+    # transposed product takes only the columns that have an eta
+    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    prob = logistic_problem(synth_dataset(300, 40, 9), 1e-3, 1e-3)
+    dot, tdot = Dataset.dot, Dataset.tdot
+    products = []
+    for inner in (dot, tdot):
+        def recorded(data, w, *args, inner=inner, **kwargs):
+            out = inner(data, w, *args, **kwargs)
+            products.append((w.copy(), kwargs, out.copy()))
+            return out
+
+        monkeypatch.setattr(Dataset, inner.__name__, recorded)
+    rng = rng_of(16)
+    xs = [rng.normal(scale=0.3, size=prob.d) for _ in range(width)]
+    etas = [None if j % 3 == 1 else 0.5 for j in range(width)]
+    prob.metric_block(xs, etas)
+    (X, _, G), (W, kwargs, S) = products
+    assert X.shape == (prob.d, width) and G.shape == (prob.n, width)
+    for j in range(width):
+        assert np.array_equal(G[:, j], dot(prob.data, X[:, j]))
+    mapped = [j for j, eta in enumerate(etas) if eta is not None]
+    assert kwargs["cols"] == mapped and S.shape == (prob.d, len(mapped))
+    for i, j in enumerate(mapped):
+        assert np.array_equal(S[:, i], tdot(prob.data, W[:, j]))
+
+
 def test_scipy_is_imported_only_for_csr_storage():
     # a dense-stored run never loads scipy; a CSR-stored Dataset does
     script = """
