@@ -138,9 +138,9 @@ class Dataset:
     def tdot(self, w: np.ndarray, rows=slice(None),
              cols=slice(None)) -> np.ndarray:
         """A[rows].T @ w[..., cols] for a vector or an n x K block ``w``,
-        with ``rows`` as in ``dot``; a vector keeps the bits of ``w @ A``.
-        Dense storage multiplies the whole block, as a narrower GEMM rounds
-        differently, and picks the columns after; CSR multiplies only those,
+        with ``rows`` as in ``dot``. Dense storage multiplies the whole block,
+        as a narrower GEMM rounds differently, and picks the columns after.
+        CSR multiplies only those, each with the bits of its vector product,
         and a row range as the whole transpose times ``w`` zero-padded."""
         if self._dense is not None:
             return (self._dense[rows].T @ w)[..., cols]
