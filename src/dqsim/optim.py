@@ -32,8 +32,7 @@ import numpy as np
 
 from . import codec
 from .codec import BitLedger, MessageKind, WireMessage
-# gradient_mapping_norm has no caller here; perfbench/spans.py wraps this name
-from .problems import CompositeProblem, gradient_mapping_norm  # noqa: F401
+from .problems import CompositeProblem, gradient_mapping_norm
 from .quantizer import (
     FULL_PRECISION_BITS,
     QuantConfig,
@@ -184,19 +183,28 @@ class _MetricColumns:
             self.flush(eta)
 
     def flush(self, eta: float) -> None:
-        """Evaluate every buffered column at ``eta``; a column that feeds no
-        gradient mapping asks for none."""
+        """Evaluate every buffered column at ``eta`` with one
+        ``loss_and_grads`` call; a column that feeds no gradient mapping
+        asks for no gradient."""
         columns, self._columns = self._columns, []
         if not columns:
             return
-        values = self.problem.metric_block(
-            [x for x, _, _ in columns],
-            [None if gmap_row is None else eta for _, _, gmap_row in columns])
-        for (_, loss_row, gmap_row), (loss, gmap) in zip(columns, values):
+        # row j is column j's iterate, so the block X = stacked.T is
+        # column-major and a dense GEMM column rounds the same at any block
+        # width; a single iterate goes in twice, as a one-column product
+        # takes the matrix-vector path, which rounds differently
+        xs = [x for x, _, _ in columns]
+        stacked = np.array(xs if len(xs) > 1 else xs * 2)
+        mapped = [j for j, (_, _, gmap_row) in enumerate(columns)
+                  if gmap_row is not None]
+        losses, grads = self.problem.loss_and_grads(stacked.T, mapped)
+        for (_, loss_row, _), loss in zip(columns, losses):
             if loss_row is not None:
                 self.losses[loss_row] = loss
-            if gmap_row is not None:
-                self.gmaps[gmap_row] = gmap
+        for i, j in enumerate(mapped):
+            x, _, gmap_row = columns[j]
+            self.gmaps[gmap_row] = gradient_mapping_norm(
+                self.problem, x, eta, grads[:, i])
 
 
 def make_streams(seed: int, n_workers: int):
@@ -555,12 +563,8 @@ def run_training(
         # the momentum weight also scales the model-precision budget
         theta = momentum_weight(epoch + 1) if accelerated else 1.0
         if accelerated:
-            # identical arrays at the very start must stay identical for the
-            # flag-bit path
-            if np.array_equal(y, snapshot):
-                x = snapshot.copy()
-            else:
-                x = snapshot + theta * (y - snapshot)
+            # where y equals the snapshot, so does x, and the flag path fires
+            x = snapshot + theta * (y - snapshot)
             x_sum = np.zeros(problem.d)
         else:
             x = snapshot.copy()

@@ -16,19 +16,19 @@ barrier) go through scipy's compiled ``csr_matvec``/``csc_matvec`` or, on a
 block of columns, ``csr_matvecs``/``csc_matvecs``; a gathered batch of rows
 (the workers' ``grad_batch``) takes one weighted ``np.bincount``. All sum each
 output in the same order, so they give the same bits. The logistic kernels
-use only those products; the MLP reads the dense matrix directly.
+use only those products; the MLP reads the stored matrix directly.
 
-``CompositeProblem.objective_and_grad`` gives the objective and the full
-gradient at one iterate together; the logistic problem computes the margins
-``A @ x`` once for both, with the same bits as ``objective`` and
-``full_grad``. The metrics have one path, ``metric_block``: the objective and
-the gradient mapping of a block of iterates. By default it evaluates one
-iterate at a time through ``objective_and_grad``, and only where a gradient
-mapping is asked for. ``LogisticProblem.metric_block`` evaluates a block on
-either storage with two block products and a shared elementwise pass, which
-rounds differently from ``objective`` and ``gradient_mapping_norm``, as on
-dense storage the GEMM columns do too. Runs, the loss-target oracle and its
-start objective all begin at the problem's ``initial_point``.
+The full-data values have one method, ``loss_and_grads``: the objective at
+each column of a block of iterates and the full gradient at the columns
+asked for. The metrics and the set-up oracle both use it. By default it
+evaluates one column at a time through ``objective`` and ``full_grad``.
+``LogisticProblem.loss_and_grads`` takes one product ``A @ X``, a shared
+``log1p(exp(-|m|))`` pass per column, from which ``f_value`` also takes the
+loss, and one ``A.T @ W`` over the gradient columns. Its gradients round
+differently from ``full_grad``, whose training kernel keeps ``logaddexp``,
+and on dense storage a block's GEMM columns round differently from the
+vector products. Runs, the loss-target oracle and its start objective all
+begin at the problem's ``initial_point``.
 """
 
 from __future__ import annotations
@@ -118,6 +118,11 @@ class Dataset:
         data = cls.__new__(cls)
         data._store(X, labels)
         return data
+
+    @property
+    def matrix(self):
+        """The stored matrix: the dense array or the scipy CSR array."""
+        return self._csr if self._dense is None else self._dense
 
     def dense(self) -> np.ndarray:
         """The matrix as a dense array, a new one on CSR storage."""
@@ -220,31 +225,22 @@ class CompositeProblem:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self.grad_range_sum(0, self.n, x) / self.n
 
-    def objective_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(objective(x), full_grad(x))``; a subclass may share work
-        between the two, but not change their bits."""
-        return self.objective(x), self.full_grad(x)
-
     def initial_point(self) -> np.ndarray:
         """Where every run, the loss-target oracle and the start objective
         begin: the origin, unless the problem has a better start."""
         return np.zeros(self.d)
 
-    def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
-        """``(objective(x), gradient_mapping_norm(self, x, eta))`` for each
-        iterate ``x`` in ``xs`` and its ``eta`` in ``etas``. Where ``eta``
-        is None the second value is None and no gradient is computed.
+    def loss_and_grads(self, X: np.ndarray, grad_cols: list[int]):
+        """The objective at each column of a d x K block ``X``, as a list,
+        and the full gradient at the columns listed in ``grad_cols``, as a
+        d x len(grad_cols) array: the metrics and the set-up oracle's step.
 
-        Evaluates one iterate at a time; a subclass may do the block at
-        once."""
-        out = []
-        for x, eta in zip(xs, etas):
-            if eta is None:
-                out.append((self.objective(x), None))
-            else:
-                loss, grad = self.objective_and_grad(x)
-                out.append((loss, _mapping_sq(self, x, eta, grad)))
-        return out
+        Evaluates one column at a time, with the bits of ``objective`` and
+        ``full_grad``; a subclass may do the block at once."""
+        grads = np.empty((self.d, len(grad_cols)))
+        for i, j in enumerate(grad_cols):
+            grads[:, i] = self.full_grad(X[:, j])
+        return [self.objective(X[:, j]) for j in range(X.shape[1])], grads
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -274,25 +270,16 @@ class LogisticProblem(CompositeProblem):
         self.d = data.d
         self.smoothness = float(np.max(data.row_norms_sq())) / 4.0 + self.lambda2
 
-    @staticmethod
-    def _sigmoid_neg(m: np.ndarray) -> np.ndarray:
-        """1 / (1 + exp(m)), computed stably for any m."""
-        return np.exp(-np.logaddexp(0.0, m))
-
     def f_value(self, x: np.ndarray) -> float:
-        margins = self.y * self.data.dot(x)
-        return self._f(np.logaddexp(0.0, -margins), x)
-
-    def _f(self, losses: np.ndarray, x: np.ndarray) -> float:
-        """f at x from its per-sample losses log(1 + exp(-margin))."""
-        return float(np.mean(losses)) + 0.5 * self.lambda2 * float(x @ x)
+        return self._margin_pass(x[:, None])[0][0]
 
     def h_value(self, x: np.ndarray) -> float:
         return self.lambda1 * float(np.sum(np.abs(x)))
 
     def _coeffs(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # d/dm log(1+exp(-m)) = -sigmoid(-m), chain rule through m = y a.x
-        return -y * self._sigmoid_neg(margins)
+        # d/dm log(1+exp(-m)) = -sigmoid(-m), chain rule through m = y a.x,
+        # with sigmoid(-m) = exp(-log(1 + exp(m))) computed stably for any m
+        return -y * np.exp(-np.logaddexp(0.0, margins))
 
     def _loss_grad_sum(self, rows, x: np.ndarray) -> np.ndarray:
         """Sum over A[rows] of the per-sample loss gradients, L2 term left out."""
@@ -307,44 +294,38 @@ class LogisticProblem(CompositeProblem):
     def grad_range_sum(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         return self._loss_grad_sum(slice(lo, hi), x) + (hi - lo) * self.lambda2 * x
 
-    def objective_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(objective(x), full_grad(x))`` to the bit, from one product
-        ``A @ x``."""
-        margins = self.y * self.data.dot(x)
-        loss = self._f(np.logaddexp(0.0, -margins), x) + self.h_value(x)
-        grad = self.data.tdot(self._coeffs(margins, self.y))
-        return loss, (grad + self.n * self.lambda2 * x) / self.n
-
-    def metric_block(self, xs: list[np.ndarray], etas: list[float | None]):
-        """As ``CompositeProblem.metric_block``, on either storage, from one
-        product ``A @ X`` and one ``A.T @ W`` over the columns that have an
-        ``eta``. The iterates are a column-major operand, so that a dense
-        GEMM column rounds the same at any block width, and a single iterate
-        goes in twice, as a one-column product takes the matrix-vector path.
-        Each iterate's reductions run on its own 1-D arrays. The values match
-        the per-iterate calls up to the rounding of the shared pass below
-        and, on dense storage only, of the GEMM columns."""
-        stacked = np.array(xs if len(xs) > 1 else xs * 2)  # row j is xs[j]
-        G = self.data.dot(stacked.T)  # column j: margins, then coefficients
-        out = []
-        for j, x in enumerate(xs):
+    def _margin_pass(self, X: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """f at each column of a d x K block ``X``, from one product
+        ``A @ X``, and that product with each column overwritten in place
+        by its loss-gradient coefficients -y sigmoid(-m). Each column's
+        reductions run on its own 1-D arrays."""
+        G = self.data.dot(X)
+        fs = []
+        for j in range(X.shape[1]):
             margins = self.y * G[:, j]
             # log(1 + exp(-+m)) = max(-+m, 0) + log1p(exp(-|m|)): the loss
             # and sigmoid(-m) = exp(-log(1 + exp(m))) share one vectorized
             # pass, where logaddexp would take two scalar ones
             soft = np.log1p(np.exp(-np.abs(margins)))
-            loss = self._f(np.maximum(-margins, 0.0) + soft, x)
-            out.append((loss + self.h_value(x), None))
+            x = X[:, j]
+            fs.append(float(np.mean(np.maximum(-margins, 0.0) + soft))
+                      + 0.5 * self.lambda2 * float(x @ x))
             G[:, j] = -self.y * np.exp(-(np.maximum(margins, 0.0) + soft))
-        mapped = [j for j, eta in enumerate(etas) if eta is not None]
-        if not mapped:
-            return out
-        every = len(mapped) == G.shape[1]  # a slice picks them uncopied
-        S = self.data.tdot(G, cols=slice(None) if every else mapped)
-        for i, j in enumerate(mapped):  # S[:, i]: loss-gradient sum at xs[j]
-            grad = (S[:, i] + self.n * self.lambda2 * xs[j]) / self.n
-            out[j] = (out[j][0], _mapping_sq(self, xs[j], etas[j], grad))
-        return out
+        return fs, G
+
+    def loss_and_grads(self, X: np.ndarray, grad_cols: list[int]):
+        """As ``CompositeProblem.loss_and_grads``, on either storage, from
+        one product ``A @ X`` and one ``A.T @ W`` over ``grad_cols`` only,
+        so a loss-only column costs no transposed product. The loss matches
+        ``objective``; the gradients match ``full_grad`` up to the rounding
+        of the shared pass and, on dense storage, of the GEMM columns."""
+        fs, G = self._margin_pass(X)
+        losses = [f + self.h_value(X[:, j]) for j, f in enumerate(fs)]
+        if not grad_cols:
+            return losses, np.empty((self.d, 0))
+        every = len(grad_cols) == X.shape[1]  # a slice picks them uncopied
+        S = self.data.tdot(G, cols=slice(None) if every else grad_cols)
+        return losses, (S + self.n * self.lambda2 * X[:, grad_cols]) / self.n
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         out = soft_threshold(v, eta * self.lambda1)
@@ -383,7 +364,7 @@ class MLPProblem(CompositeProblem):
         self.d = int(sum(self._sizes))
         self.smoothness = None
         self.init_seed = int(init_seed)
-        self._X = data.dense()
+        self._X = data.matrix
 
     def init_params(self, seed: int = 0, scale: float = 0.1) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -456,25 +437,23 @@ def mlp_problem(data: Dataset, hidden: int = 100, lambda2: float = 1e-4,
                       num_classes=num_classes, init_seed=init_seed)
 
 
-def _mapping_sq(problem: CompositeProblem, x: np.ndarray, eta: float,
-                grad: np.ndarray) -> float:
-    """Squared norm of the gradient mapping at x, given grad f(x)."""
-    g = (x - problem.prox(eta, x - eta * grad)) / eta
-    return float(g @ g)
-
-
 def gradient_mapping_norm(problem: CompositeProblem, x: np.ndarray,
-                          eta: float) -> float:
+                          eta: float, grad: np.ndarray | None = None) -> float:
     """Squared norm of the proximal-gradient residual
     (x - prox(eta, x - eta grad f(x))) / eta.
 
     The residual reduces to grad f when h = 0 and vanishes exactly at
     composite stationary points; its squared norm is the convergence metric.
-    This is the plain reference the metric path is checked against.
+    The metrics pass ``grad``, grad f(x) from their block; without it the
+    function computes ``full_grad(x)`` and is the plain reference the metric
+    path is checked against.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    return _mapping_sq(problem, x, eta, problem.full_grad(x))
+    if grad is None:
+        grad = problem.full_grad(x)
+    g = (x - problem.prox(eta, x - eta * grad)) / eta
+    return float(g @ g)
 
 
 def load_libsvm(path, d: int | None = None) -> Dataset:
@@ -522,14 +501,15 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
 def write_libsvm(path, data: Dataset) -> None:
     """Emit the text format, a dense-stored row as its nonzero entries, with
     shortest-roundtrip value strings: reading it back gives the same matrix."""
+    A = data.matrix
     with open(path, "w") as fh:
         for i in range(data.n):
-            if data._dense is None:
-                lo, hi = data.indptr[i], data.indptr[i + 1]
-                cols, vals = data.indices[lo:hi], data.values[lo:hi]
+            if isinstance(A, np.ndarray):
+                cols = np.flatnonzero(A[i])
+                vals = A[i, cols]
             else:
-                cols = np.flatnonzero(data._dense[i])
-                vals = data._dense[i, cols]
+                lo, hi = A.indptr[i], A.indptr[i + 1]
+                cols, vals = A.indices[lo:hi], A.data[lo:hi]
             feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(cols, vals))
             label = data.labels[i]
             label_s = f"{int(label)}" if label == int(label) else repr(float(label))

@@ -266,8 +266,6 @@ def choose_bx(x, x_snapshot, mu: float, b_min: int = 2) -> int:
     diff_sq = float(np.sum((x - x_snapshot) ** 2))
     if diff_sq == 0.0:
         raise ValueError("x equals x_snapshot: use flag-bit message")
-    if float(np.max(np.abs(x))) == 0.0:
-        return b_min  # zero vector encodes exactly at any width
     budget = mu * diff_sq
     for bits in range(b_min, FULL_PRECISION_BITS + 1):
         if expected_sq_error(x, grid_for(x, bits)) <= budget:
@@ -283,6 +281,4 @@ def mu_required(x, x_snapshot, b_x: int) -> float:
     diff_sq = float(np.sum((x - x_snapshot) ** 2))
     if diff_sq == 0.0:
         raise ValueError("x equals x_snapshot: mu is undefined on the flag path")
-    if float(np.max(np.abs(x))) == 0.0:
-        return 0.0
     return expected_sq_error(x, grid_for(x, b_x)) / diff_sq

@@ -53,7 +53,7 @@ __all__ = [
 class FixedLatency:
     ticks: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.ticks < 1:
             raise ValueError(f"latency must be >= 1 tick, got {self.ticks}")
 
@@ -66,7 +66,7 @@ class UniformLatency:
     low: int
     high: int  # inclusive
 
-    def validate(self):
+    def __post_init__(self):
         if self.low < 1 or self.high < self.low:
             raise ValueError(f"need 1 <= low <= high, got [{self.low}, {self.high}]")
 
@@ -78,7 +78,7 @@ class UniformLatency:
 class GeometricLatency:
     p: float  # success probability; support {1, 2, ...}
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"geometric p must be in (0, 1], got {self.p}")
 
@@ -90,9 +90,6 @@ class GeometricLatency:
 class WorkerSpec:
     worker_id: int
     latency: FixedLatency | UniformLatency | GeometricLatency
-
-    def validate(self):
-        self.latency.validate()
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,6 @@ def _validate_loop_args(workers, tau, m):
     ids = [w.worker_id for w in workers]
     if len(set(ids)) != len(ids):
         raise ValueError("worker ids must be unique")
-    for w in workers:
-        w.validate()
 
 
 class _Gate:

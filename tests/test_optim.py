@@ -290,7 +290,7 @@ class TestAccelerated:
             if args[0] == 0:
                 snapshots.append(args[2])
 
-        record(prob, "metric_block", lambda args, _: xs.extend(args[0]))
+        record(prob, "loss_and_grads", lambda args, _: xs.extend(args[0].T))
         record(prob, "prox", lambda args, y: ys.append(y))
         record(prob, "grad_range_sum", keep_snapshot)
         run_training(prob, cfg, workers)
@@ -307,7 +307,7 @@ class TestAccelerated:
         cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=2, m=3, eta=0.1,
                          b_x=32, b=32, track_grad_mapping=False)
         xs = []
-        record(prob, "metric_block", lambda args, _: xs.extend(args[0]))
+        record(prob, "loss_and_grads", lambda args, _: xs.extend(args[0].T))
         res = run_training(prob, cfg, x0=np.array([1.0, -2.0]))
         assert len(xs) == 6
         np.testing.assert_allclose(res.output, np.mean(xs[-3:], axis=0),
@@ -495,6 +495,17 @@ class TestMetricColumns:
                          report.min_grad_mapping_sq))
         assert len(outputs) == 1
 
+    @staticmethod
+    def flushed(prob, xs, etas):
+        """(train_loss, grad_mapping_sq) per iterate, from one flush of the
+        run's metric columns; a None in ``etas`` asks for no mapping."""
+        eta = next((e for e in etas if e is not None), 1.0)
+        columns = optim._MetricColumns(prob, len(xs))
+        for j, (x, e) in enumerate(zip(xs, etas)):
+            columns.add(x, eta, j, None if e is None else j)
+        columns.flush(eta)
+        return list(zip(columns.losses, columns.gmaps))
+
     @pytest.mark.parametrize("width", [1, 2, 7])
     @pytest.mark.parametrize("box", [None, 0.05])
     def test_block_matches_per_iterate_calls(self, width, box):
@@ -503,17 +514,17 @@ class TestMetricColumns:
         rng = rng_of(7)
         xs = [rng.normal(scale=0.2, size=prob.d) for _ in range(width)]
         for eta in (0.1, 2.0):
-            block = prob.metric_block(xs, [eta] * width)
+            block = self.flushed(prob, xs, [eta] * width)
             assert len(block) == width
             for x, (loss, gmap) in zip(xs, block):
                 assert loss == pytest.approx(prob.objective(x), rel=1e-12)
                 assert gmap == pytest.approx(
                     gradient_mapping_norm(prob, x, eta), rel=1e-12)
             some = [eta if j % 2 else None for j in range(width)]
-            assert prob.metric_block(xs, some) == [
+            assert self.flushed(prob, xs, some) == [
                 (loss, gmap if e is not None else None)
                 for (loss, gmap), e in zip(block, some)]
-        assert [g for _, g in prob.metric_block(xs, [None] * width)] == \
+        assert [g for _, g in self.flushed(prob, xs, [None] * width)] == \
             [None] * width
 
     @pytest.mark.parametrize("algo", [Algorithm.ASYLPG, Algorithm.ACC_ASYLPG])
@@ -523,7 +534,7 @@ class TestMetricColumns:
     def test_run_matches_per_iterate_evaluation(self, algo, box, storage,
                                                 monkeypatch):
         # the momentum variant's step size changes every epoch; with the
-        # base class's metric_block the run evaluates per iterate
+        # base class's loss_and_grads the run evaluates per iterate
         if storage == "csr":
             monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
         prob = logistic_problem(synth_dataset(150, 25, 8), 0.02, 1e-3,
@@ -532,8 +543,8 @@ class TestMetricColumns:
                          tau=2, seed=9, batch_size=3)
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
         blocked = run_training(prob, cfg, workers)
-        monkeypatch.setattr(LogisticProblem, "metric_block",
-                            CompositeProblem.metric_block)
+        monkeypatch.setattr(LogisticProblem, "loss_and_grads",
+                            CompositeProblem.loss_and_grads)
         per_iterate = run_training(prob, cfg, workers)
         assert len(blocked.metrics) == len(per_iterate.metrics) == 60
         for row, ref in zip(blocked.metrics, per_iterate.metrics):
@@ -559,8 +570,8 @@ class TestMetricColumns:
             monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
 
         monkeypatch.setattr(CompositeProblem, "objective", refuse)
-        monkeypatch.setattr(CompositeProblem, "metric_block", refuse)
-        monkeypatch.setattr(LogisticProblem, "objective_and_grad", refuse)
+        monkeypatch.setattr(CompositeProblem, "loss_and_grads", refuse)
+        monkeypatch.setattr(CompositeProblem, "full_grad", refuse)
         prob = logistic_problem(synth_dataset(80, 10, 4), 1e-3, 1e-3)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, execution=execution)
@@ -587,17 +598,17 @@ class TestMetricColumns:
             return inner_matmul(matrix, w)
 
         blocks = []  # (loss-only columns, mapping columns, product columns)
-        inner_block = LogisticProblem.metric_block
+        inner_flush = optim._MetricColumns.flush
 
-        def counted_block(self, xs, etas):
+        def counted_flush(self, eta):
             before = len(columns)
-            out = inner_block(self, xs, etas)
-            mapped = sum(eta is not None for eta in etas)
-            blocks.append((len(etas) - mapped, mapped, sum(columns[before:])))
-            return out
+            mapped = sum(gmap_row is not None for _, _, gmap_row in self._columns)
+            loss_only = len(self._columns) - mapped
+            inner_flush(self, eta)
+            blocks.append((loss_only, mapped, sum(columns[before:])))
 
         monkeypatch.setattr(csc_array, "__matmul__", counted_matmul)
-        monkeypatch.setattr(LogisticProblem, "metric_block", counted_block)
+        monkeypatch.setattr(optim._MetricColumns, "flush", counted_flush)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, metric_every=3)
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]

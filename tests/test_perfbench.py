@@ -40,3 +40,5 @@ def test_traced_run_restores_every_name():
     metrics = spans.layer_metrics(tracer)
     assert metrics["optim.model_message.calls"] == 6
     assert metrics["sparsifier.sparsify.calls"] > 0
+    # one gradient mapping per update, each through the traced name
+    assert metrics["problems.gradient_mapping_norm.calls"] == 6

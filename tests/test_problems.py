@@ -123,23 +123,31 @@ class TestLogistic:
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
 
     def test_objective_and_full_grad_share_one_product(self, monkeypatch):
-        # the bits of objective and full_grad, from one A @ x and one A.T @ w
+        # the bits of objective and, up to the shared pass's rounding, of
+        # full_grad, from one A @ x and one A.T @ w
         prob = small_logistic()
-        x = rng_of(12).normal(size=prob.d)
+        rng = rng_of(12)
+        x = rng.normal(size=prob.d)
         state = {k: id(v) for k, v in vars(prob.data).items()}
         want_loss, want_grad = prob.objective(x), prob.full_grad(x)
         calls = []
         for name in ("dot", "tdot"):
-            def counted(data, *args, inner=getattr(Dataset, name), name=name):
+            def counted(data, *args, inner=getattr(Dataset, name), name=name,
+                        **kwargs):
                 calls.append(name)
-                return inner(data, *args)
+                return inner(data, *args, **kwargs)
 
             monkeypatch.setattr(Dataset, name, counted)
-        loss, grad = prob.objective_and_grad(x)
+        (loss,), grads = prob.loss_and_grads(x[:, None], [0])
         assert calls == ["dot", "tdot"]
         assert loss == want_loss
-        assert np.array_equal(grad, want_grad)
+        np.testing.assert_allclose(grads[:, 0], want_grad, rtol=1e-12)
         assert {k: id(v) for k, v in vars(prob.data).items()} == state
+        if not isinstance(prob.data.matrix, np.ndarray):
+            # CSR: a column of a block product has its vector product's bits
+            X = np.array([x, rng.normal(size=prob.d)]).T
+            _, pair = prob.loss_and_grads(X, [0, 1])
+            assert np.array_equal(pair[:, 0], grads[:, 0])
 
 
 class TestLogisticCSR(TestLogistic):
@@ -229,12 +237,12 @@ def test_csr_metric_block_keeps_per_iterate_product_bits(width, monkeypatch):
     rng = rng_of(16)
     xs = [rng.normal(scale=0.3, size=prob.d) for _ in range(width)]
     etas = [None if j % 3 == 1 else 0.5 for j in range(width)]
-    prob.metric_block(xs, etas)
+    mapped = [j for j, eta in enumerate(etas) if eta is not None]
+    prob.loss_and_grads(np.array(xs).T, mapped)
     (X, _, G), (W, kwargs, S) = products
     assert X.shape == (prob.d, width) and G.shape == (prob.n, width)
     for j in range(width):
         assert np.array_equal(G[:, j], dot(prob.data, X[:, j]))
-    mapped = [j for j, eta in enumerate(etas) if eta is not None]
     assert kwargs["cols"] == mapped and S.shape == (prob.d, len(mapped))
     for i, j in enumerate(mapped):
         assert np.array_equal(S[:, i], tdot(prob.data, W[:, j]))
@@ -586,3 +594,25 @@ class TestMLP:
         data = synth_multiclass_dataset(10, 4, 3, 0)
         with pytest.raises(ValueError, match="range"):
             mlp_problem(data, hidden=4, num_classes=2)
+
+    def test_csr_storage_keeps_no_dense_copy(self, monkeypatch):
+        # the MLP reads the matrix the dataset stores; on CSR storage no
+        # n x d array is held, and the kernels agree with dense storage
+        def kernels():
+            data = synth_multiclass_dataset(40, 7, 3, 5)
+            prob = mlp_problem(data, hidden=5, lambda2=1e-3, init_seed=2)
+            x = prob.initial_point()
+            batch = np.array([3, 17, 3, 39, 0, 17])
+            return prob, (prob.f_value(x), prob.grad_batch(batch, x),
+                          prob.grad_range_sum(5, 31, x))
+
+        dense_prob, dense = kernels()
+        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+        prob, csr = kernels()
+        assert isinstance(dense_prob._X, np.ndarray)
+        held = [v for owner in (prob, prob.data) for v in vars(owner).values()]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (40, 7)
+                       for v in held)
+        assert csr[0] == pytest.approx(dense[0], rel=1e-12)
+        for got, want in zip(csr[1:], dense[1:]):
+            np.testing.assert_allclose(got, want, rtol=1e-12)

@@ -196,6 +196,16 @@ class TestMuRequired:
         with pytest.raises(ValueError):
             mu_required(x, x.copy(), 8)
 
+    @pytest.mark.parametrize("b_min", [2, 9])
+    def test_zero_iterate_away_from_snapshot(self, b_min):
+        # x = 0 gets the zero-delta grid, which encodes it exactly: its
+        # error is 0 at every width, so mu is 0 and any budget, even a zero
+        # one, holds at the first width tried
+        x, snap = np.zeros(5), np.array([0.0, 1.5, -2.0, 0.25, 3.0])
+        assert mu_required(x, snap, b_min) == 0.0
+        for mu in (0.0, 0.5):
+            assert choose_bx(x, snap, mu, b_min) == b_min
+
 
 class TestTypes:
     def test_grid_validation(self):

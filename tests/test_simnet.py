@@ -115,16 +115,15 @@ class TestInnerLoop:
             run_inner_loop(w, -1, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
         with pytest.raises(ValueError):
             run_inner_loop(w, 0, 0, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
-        bad = [WorkerSpec(0, FixedLatency(0))]
-        with pytest.raises(ValueError):
-            run_inner_loop(bad, 0, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
+        with pytest.raises(ValueError, match="latency must be >= 1 tick"):
+            FixedLatency(0)  # rejected where it is built, before any loop
         dup = [WorkerSpec(0, FixedLatency(1)), WorkerSpec(0, FixedLatency(1))]
         with pytest.raises(ValueError):
             run_inner_loop(dup, 0, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
-        with pytest.raises(ValueError):
-            UniformLatency(2, 1).validate()
-        with pytest.raises(ValueError):
-            GeometricLatency(0.0).validate()
+        with pytest.raises(ValueError, match="need 1 <= low <= high"):
+            UniformLatency(2, 1)
+        with pytest.raises(ValueError, match="geometric p must be in"):
+            GeometricLatency(0.0)
 
     def test_golden_schedule_digest(self):
         # The criterion-5 generator (same seed and draw order) at m=500; the
