@@ -23,7 +23,6 @@ from .problems import (
 )
 from .quantizer import (
     LowPrecisionVector,
-    QuantConfig,
     QuantGrid,
     SparseLowPrecisionVector,
     quantize_vector,
@@ -49,7 +48,6 @@ __all__ = [
     "GeometricLatency",
     "LowPrecisionVector",
     "MessageKind",
-    "QuantConfig",
     "QuantGrid",
     "RunResult",
     "SparseLowPrecisionVector",

@@ -35,14 +35,14 @@ from .codec import BitLedger, MessageKind, WireMessage
 from .problems import CompositeProblem, gradient_mapping_norm
 from .quantizer import (
     FULL_PRECISION_BITS,
-    QuantConfig,
+    QuantGrid,
     SparseLowPrecisionVector,
     choose_bx,
-    expected_sq_error,
-    grid_for,
-    mu_required,
     quantize_vector,
+    rounding_for,
 )
+# Not called here: the benchmark's tracer wraps these names on this module.
+from .quantizer import expected_sq_error, mu_required  # noqa: F401
 from .simnet import (
     FixedLatency,
     StalenessRecord,
@@ -111,7 +111,12 @@ class AlgoConfig:
     def __post_init__(self):
         algo = Algorithm(self.algo)
         object.__setattr__(self, "algo", algo)
-        QuantConfig(self.b_x, self.b, self.mu)  # validates widths and mu
+        if not 2 <= self.b_x <= FULL_PRECISION_BITS:
+            raise ValueError(f"b_x must be in [2, {FULL_PRECISION_BITS}], got {self.b_x}")
+        if not 2 <= self.b <= FULL_PRECISION_BITS:
+            raise ValueError(f"b must be in [2, {FULL_PRECISION_BITS}], got {self.b}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.epochs < 1 or self.m < 1:
             raise ValueError("epochs and m must be >= 1")
         if self.eta_mode not in ("constant", "theory"):
@@ -264,28 +269,26 @@ def model_message(
         diag["b_x_used"] = FULL_PRECISION_BITS
         return codec.encode_full(x), diag
 
+    # x is checked and rounded at b_x once: that rounding gives mu_required,
+    # the budget test and, unless the width widens, the codes
     diff_sq = float(np.sum((x - snapshot) ** 2))
     budget = mu_scale * cfg.mu * diff_sq
-    diag["mu_required"] = mu_required(x, snapshot, cfg.b_x)
+    rounding = rounding_for(x, cfg.b_x)
+    diag["mu_required"] = rounding.error / diff_sq
     for width in cfg.mu_probe_widths:
-        diag["mu_probes"][width] = mu_required(x, snapshot, width)
+        diag["mu_probes"][width] = rounding.at(width).error / diff_sq
 
-    b_use = cfg.b_x
     if diag["mu_required"] * diff_sq > budget:
         if cfg.bx_adapt:
-            b_use = choose_bx(x, snapshot, mu_scale * cfg.mu, cfg.b_x + 1)
+            rounding = choose_bx(rounding, budget, cfg.b_x + 1)
         else:
             diag["violation"] = True
-    diag["b_x_used"] = b_use
-    if b_use >= FULL_PRECISION_BITS:
-        # widest search candidate; send exact values instead ("error" is zero)
-        if expected_sq_error(x, grid_for(x, b_use)) > budget:
-            diag["search_failed"] = True
+    diag["search_failed"] = rounding is None
+    diag["b_x_used"] = FULL_PRECISION_BITS if rounding is None else rounding.grid.bits
+    if diag["b_x_used"] >= FULL_PRECISION_BITS:
+        # widest width, or none holds the budget: exact values hold it
         return codec.encode_full(x), diag
-    if cfg.bx_adapt and b_use > cfg.b_x:
-        # widened width must satisfy the budget by construction
-        assert expected_sq_error(x, grid_for(x, b_use)) <= budget
-    return codec.encode_dense(quantize_vector(x, b_use, rng)), diag
+    return codec.encode_dense(rounding.draw(rng)), diag
 
 
 def gradient_message(
@@ -304,7 +307,7 @@ def gradient_message(
                 )
         empty = np.zeros(0, dtype=np.int64)
         return codec.encode_sparse(
-            SparseLowPrecisionVector(grid_for(np.ones(1), cfg.b), d, empty, empty)
+            SparseLowPrecisionVector(QuantGrid(0.0, cfg.b), d, empty, empty)
         )
     if cfg.algo in _GRAD_QUANTIZED and cfg.b < FULL_PRECISION_BITS:
         return codec.encode_dense(quantize_vector(alpha, cfg.b, rng))

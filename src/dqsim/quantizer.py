@@ -26,8 +26,9 @@ __all__ = [
     "QuantGrid",
     "LowPrecisionVector",
     "SparseLowPrecisionVector",
-    "QuantConfig",
+    "Rounding",
     "grid_for",
+    "rounding_for",
     "quantize_vector",
     "quantize_on_grid",
     "expected_sq_error",
@@ -162,40 +163,63 @@ class SparseLowPrecisionVector:
         )
 
 
-@dataclass(frozen=True)
-class QuantConfig:
-    """Bit widths for model (b_x) and gradient (b) messages plus the
-    precision-loss budget mu that bounds allowed model quantization error
-    relative to the snapshot distance."""
-
-    b_x: int
-    b: int
-    mu: float
-
-    def __post_init__(self):
-        if not 2 <= self.b_x <= FULL_PRECISION_BITS:
-            raise ValueError(f"b_x must be in [2, {FULL_PRECISION_BITS}], got {self.b_x}")
-        if not 2 <= self.b <= FULL_PRECISION_BITS:
-            raise ValueError(f"b must be in [2, {FULL_PRECISION_BITS}], got {self.b}")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-
-
 def grid_for(v, bits: int) -> QuantGrid:
     """Grid whose hull covers ``v``: ``delta = max|v_i| / (2^(bits-1) - 1)``."""
-    v = _as_vector(v)
+    return _grid_for(_as_vector(v), bits)
+
+
+def _grid_for(v: np.ndarray, bits: int) -> QuantGrid:
     return QuantGrid(float(np.max(np.abs(v))) / ((1 << (bits - 1)) - 1), bits)
 
 
-def _snapped_frac(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split scaled values into integer floor and fractional part, snapping
-    fractions within _SNAP_TOL of 0 or 1 onto the nearer code."""
-    z = np.floor(scaled)
-    frac = scaled - z
-    hi = frac >= 1.0 - _SNAP_TOL
-    z = z + hi
-    frac = np.where(hi | (frac <= _SNAP_TOL), 0.0, frac)
-    return z, frac
+class Rounding:
+    """The checked vector ``values`` rounded on ``grid``, before the draw:
+    each value's floor code ``floor`` (a float) and chance ``frac`` of going
+    up, from which the exact error and the codes both follow. A value outside
+    the hull clips to the nearest endpoint (with ``in_hull``, it is an error);
+    a fraction within _SNAP_TOL of 0 or 1 snaps onto the nearer code."""
+
+    def __init__(self, values: np.ndarray, grid: QuantGrid, in_hull: bool = False):
+        self.values, self.grid = values, grid
+        if grid.delta == 0.0:
+            if np.any(values != 0.0):
+                raise ValueError("zero-delta grid only covers the all-zero vector")
+            self.floor = self.frac = np.zeros(values.size)
+            return
+        scaled = values / grid.delta
+        if in_hull:
+            tol = _SNAP_TOL * max(1.0, float(grid.code_max))
+            if np.any(scaled < grid.code_min - tol) or np.any(scaled > grid.code_max + tol):
+                raise ValueError("coordinate outside the grid hull")
+        scaled = np.clip(scaled, grid.code_min, grid.code_max)
+        z = np.floor(scaled)
+        frac = scaled - z
+        hi = frac >= 1.0 - _SNAP_TOL
+        self.floor = z + hi
+        self.frac = np.where(hi | (frac <= _SNAP_TOL), 0.0, frac)
+
+    @property
+    def error(self) -> float:
+        """Exact ``E||Q(v) - v||^2`` inside the hull: a value with floor point
+        ``z`` adds ``(v - z) * (z + delta - v)``, at most ``delta^2/4``."""
+        return float(self.grid.delta**2 * np.sum(self.frac * (1.0 - self.frac)))
+
+    def at(self, bits: int) -> Rounding:
+        """The same values rounded on their covering grid of width ``bits``."""
+        return Rounding(self.values, _grid_for(self.values, bits))
+
+    def draw(self, rng: np.random.Generator) -> LowPrecisionVector:
+        """Codes from one uniform draw per value (none on the zero-delta grid)."""
+        if self.grid.delta == 0.0:
+            return LowPrecisionVector(self.grid, self.floor.astype(np.int64))
+        u = rng.random(self.frac.size)
+        return LowPrecisionVector(self.grid, (self.floor + (u < self.frac)).astype(np.int64))
+
+
+def rounding_for(v, bits: int) -> Rounding:
+    """``v`` rounded on its covering grid (see :func:`grid_for`)."""
+    v = _as_vector(v)
+    return Rounding(v, _grid_for(v, bits))
 
 
 def quantize_vector(v, bits: int, rng: np.random.Generator) -> LowPrecisionVector:
@@ -204,10 +228,7 @@ def quantize_vector(v, bits: int, rng: np.random.Generator) -> LowPrecisionVecto
     The all-zero vector gets the degenerate ``delta = 0`` grid and all-zero
     codes, which decodes exactly. Consumes ``len(v)`` uniform draws otherwise.
     """
-    grid = grid_for(v, bits)
-    if grid.delta == 0.0:
-        return LowPrecisionVector(grid, np.zeros(np.size(v), dtype=np.int64))
-    return quantize_on_grid(v, grid, rng)
+    return rounding_for(v, bits).draw(rng)
 
 
 def quantize_on_grid(
@@ -221,56 +242,30 @@ def quantize_on_grid(
     v = _as_vector(v)
     if grid.delta == 0.0:
         raise ValueError("zero-delta grid encodes only the all-zero vector")
-    u = rng.random(v.size)
-    scaled = np.clip(v / grid.delta, grid.code_min, grid.code_max)
-    z, frac = _snapped_frac(scaled)
-    return LowPrecisionVector(grid, (z + (u < frac)).astype(np.int64))
+    return Rounding(v, grid).draw(rng)
 
 
 def expected_sq_error(v, grid: QuantGrid) -> float:
-    """Exact expected squared rounding error of quantizing ``v`` on ``grid``.
+    """Exact expected squared error of quantizing ``v`` on ``grid`` (see
+    :attr:`Rounding.error`); raises if ``v`` leaves the hull."""
+    return Rounding(_as_vector(v), grid, in_hull=True).error
 
-    For each coordinate inside the hull with floor point ``z`` the two-point
-    rounding contributes ``(v - z) * (z + delta - v)``, so the total is the
-    exact expectation of ``||Q(v) - v||^2``; it is bounded by ``d*delta^2/4``.
-    Raises if any coordinate lies outside the hull, where the closed form
-    does not apply.
+
+def choose_bx(x, budget: float, b_min: int = 2) -> Rounding | None:
+    """``x`` rounded on its covering grid of the smallest width in [b_min, 32]
+    whose exact expected error is within ``budget``; None if none is.
+
+    ``x`` is a vector, or a :class:`Rounding` whose checked values are
+    searched. The exact error is not monotone in the width (the grids are
+    not nested), so a caller widening a width that breaks the budget passes
+    that width plus one as ``b_min``.
     """
-    v = _as_vector(v)
-    if grid.delta == 0.0:
-        if np.any(v != 0.0):
-            raise ValueError("zero-delta grid only covers the all-zero vector")
-        return 0.0
-    scaled = v / grid.delta
-    tol = _SNAP_TOL * max(1.0, float(grid.code_max))
-    if np.any(scaled < grid.code_min - tol) or np.any(scaled > grid.code_max + tol):
-        raise ValueError("coordinate outside the grid hull")
-    scaled = np.clip(scaled, grid.code_min, grid.code_max)
-    _, frac = _snapped_frac(scaled)
-    return float(grid.delta**2 * np.sum(frac * (1.0 - frac)))
-
-
-def choose_bx(x, x_snapshot, mu: float, b_min: int = 2) -> int:
-    """Smallest bit width in [b_min, 32] whose exact expected quantization
-    error stays within ``mu * ||x - x_snapshot||^2``; 32 if none does.
-
-    The exact error is not monotone in the width (the grids are not nested),
-    so a caller widening a width that breaks the budget passes that width
-    plus one as ``b_min``.
-
-    The caller must handle ``x == x_snapshot`` with a flag-bit message; here
-    it is an error because the budget degenerates to zero.
-    """
-    x = _as_vector(x, "x")
-    x_snapshot = _as_vector(x_snapshot, "x_snapshot")
-    diff_sq = float(np.sum((x - x_snapshot) ** 2))
-    if diff_sq == 0.0:
-        raise ValueError("x equals x_snapshot: use flag-bit message")
-    budget = mu * diff_sq
+    v = x.values if isinstance(x, Rounding) else _as_vector(x, "x")
     for bits in range(b_min, FULL_PRECISION_BITS + 1):
-        if expected_sq_error(x, grid_for(x, bits)) <= budget:
-            return bits
-    return FULL_PRECISION_BITS
+        rounding = Rounding(v, _grid_for(v, bits))
+        if rounding.error <= budget:
+            return rounding
+    return None
 
 
 def mu_required(x, x_snapshot, b_x: int) -> float:
@@ -281,4 +276,4 @@ def mu_required(x, x_snapshot, b_x: int) -> float:
     diff_sq = float(np.sum((x - x_snapshot) ** 2))
     if diff_sq == 0.0:
         raise ValueError("x equals x_snapshot: mu is undefined on the flag path")
-    return expected_sq_error(x, grid_for(x, b_x)) / diff_sq
+    return Rounding(x, _grid_for(x, b_x)).error / diff_sq

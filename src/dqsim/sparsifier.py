@@ -128,7 +128,7 @@ def optimal_plan(alpha, phi: float) -> SparsePlan:
         raise ValueError("cannot build a plan for the zero vector")
     if phi <= 0.0:
         raise ValueError(f"budget must be positive, got {phi}")
-    cap = budget_max(alpha)
+    cap = l1 / float(absa.max())  # budget_max(alpha) from the same reductions
     if phi > cap * (1.0 + _P_TOL):
         raise ValueError(
             f"variance-optimality precondition violated: phi={phi:.6g} > "

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from dqsim import codec, optim, problems
+from dqsim import codec, optim, problems, quantizer
 from dqsim.codec import MessageKind
 from dqsim.harness import parse_config, run_experiment
 from dqsim.optim import (
@@ -28,6 +30,8 @@ from dqsim.quantizer import (
     choose_bx,
     expected_sq_error,
     grid_for,
+    mu_required,
+    quantize_on_grid,
     quantize_vector,
 )
 from dqsim.simnet import UniformLatency, WorkerSpec
@@ -138,6 +142,8 @@ class TestWorkerStep:
         msg = gradient_message(np.zeros(40), cfg, rng_of(5))
         assert msg.kind is MessageKind.SPARSE
         assert msg.bits == 32 and msg.content.nnz == 0
+        assert msg.content.grid.delta == 0.0
+        np.testing.assert_array_equal(msg.content.decode(), np.zeros(40))
 
     def test_sparse_worker_unbiasedness(self):
         alpha = np.array([3.0, 1.0])
@@ -217,10 +223,126 @@ class TestModelMessage:
     def test_momentum_budget_tightens_with_epoch(self):
         rng = rng_of(16)
         x, snap = rng.normal(size=64), rng.normal(size=64)
-        widths = [
-            choose_bx(x, snap, momentum_weight(s) * 0.05) for s in range(1, 30)
-        ]
+        diff_sq = float(np.sum((x - snap) ** 2))
+        results = [choose_bx(x, momentum_weight(s) * 0.05 * diff_sq)
+                   for s in range(1, 30)]
+        widths = [32 if r is None else r.grid.bits for r in results]
         assert all(a <= b for a, b in zip(widths, widths[1:]))
+
+
+def reference_model_message(x, snap, cfg, rng, mu_scale):
+    """``model_message`` for a model-quantizing algorithm, composed from the
+    public quantizer functions."""
+    diag = {"mu_required": None, "mu_probes": {}, "b_x_used": None,
+            "violation": False, "search_failed": False}
+    if np.array_equal(x, snap):
+        return MessageKind.FLAG, 1, None, None, diag
+    diff_sq = float(np.sum((x - snap) ** 2))
+    budget = mu_scale * cfg.mu * diff_sq
+    diag["mu_required"] = mu_required(x, snap, cfg.b_x)
+    diag["mu_probes"] = {w: mu_required(x, snap, w) for w in cfg.mu_probe_widths}
+    b_use = cfg.b_x
+    if diag["mu_required"] * diff_sq > budget:
+        if cfg.bx_adapt:
+            found = choose_bx(x, budget, cfg.b_x + 1)
+            b_use = 32 if found is None else found.grid.bits
+            diag["search_failed"] = found is None
+        else:
+            diag["violation"] = True
+    diag["b_x_used"] = b_use
+    if b_use == 32:
+        return MessageKind.FULL, 32 * x.size, None, x, diag
+    grid = grid_for(x, b_use)
+    if grid.delta == 0.0:
+        codes = np.zeros(x.size, dtype=np.int64)
+    else:
+        codes = quantize_on_grid(x, grid, rng).codes
+    return MessageKind.DENSE, 32 + b_use * x.size, grid, codes, diag
+
+
+class TestModelMessageReference:
+    @pytest.mark.parametrize("d", [1, 7, 300])
+    @pytest.mark.parametrize("b_x", [2, 8, 31])
+    def test_matches_public_functions(self, d, b_x):
+        gen = rng_of(40 + d + b_x)
+        widened = failed = 0
+        for mu in (0.0, 1e-6, 1e-2, 0.1, 10.0, 1e9):
+            for bx_adapt in (True, False):
+                for probes in ((), (4, 8)):
+                    cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=b_x, mu=mu,
+                                     bx_adapt=bx_adapt, mu_probe_widths=probes)
+                    for mu_scale in (1.0, 0.4):
+                        x = gen.normal(size=d) * 10.0 ** gen.uniform(-3, 3)
+                        for snap in (x + 1e-4 * gen.normal(size=d),
+                                     gen.normal(size=d)):
+                            for v in (x, np.zeros(d)):
+                                rng = rng_of(int(gen.integers(1 << 30)))
+                                ref_rng = copy.deepcopy(rng)
+                                msg, diag = model_message(v, snap, cfg, rng,
+                                                          mu_scale)
+                                kind, bits, grid, content, ref_diag = \
+                                    reference_model_message(v, snap, cfg,
+                                                            ref_rng, mu_scale)
+                                assert msg.kind is kind and msg.bits == bits
+                                assert diag == ref_diag
+                                # the same draws: both streams go on alike
+                                np.testing.assert_array_equal(
+                                    rng.bit_generator.random_raw(4),
+                                    ref_rng.bit_generator.random_raw(4))
+                                if kind is MessageKind.DENSE:
+                                    assert msg.content.grid == grid
+                                    np.testing.assert_array_equal(
+                                        msg.content.codes, content)
+                                else:
+                                    np.testing.assert_array_equal(
+                                        msg.content, content)
+                                widened += diag["b_x_used"] > b_x
+                                failed += diag["search_failed"]
+        # the cases reach the widening search and its exhaustion; a single
+        # value lies on its covering grid, so at d = 1 nothing widens
+        assert d == 1 or (widened > 0 and failed > 0)
+
+
+class _FloorCounter:
+    """Stands in for numpy in ``quantizer``: counts ``np.floor`` calls, one
+    per vector rounded on a grid."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def floor(self, a):
+        self.calls += 1
+        return np.floor(a)
+
+
+class TestModelMessageRoundings:
+    def count(self, monkeypatch, x, snap, cfg):
+        counter = _FloorCounter()
+        monkeypatch.setattr(quantizer, "np", counter)
+        _, diag = model_message(x, snap, cfg, rng_of(30))
+        monkeypatch.undo()
+        return counter.calls, diag["b_x_used"]
+
+    def test_unwidened_broadcast_rounds_once(self, monkeypatch):
+        rng = rng_of(31)
+        x, snap = rng.normal(size=300), rng.normal(size=300)
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=1e9)
+        assert self.count(monkeypatch, x, snap, cfg) == (1, 8)
+
+    def test_widened_broadcast_rounds_once_per_width(self, monkeypatch):
+        # widths 8 (rejected) and 9 (accepted, see test_widening_never_narrows)
+        x = np.array([1.0, 1.0 / 3.0])
+        snap = x + np.array([0.005, 0.0])
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=0.1)
+        assert self.count(monkeypatch, x, snap, cfg) == (2, 9)
+        # a zero budget tries every width from 8 to 32, then sends in full
+        rng = rng_of(32)
+        x, snap = rng.normal(size=20), rng.normal(size=20)
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=0.0)
+        assert self.count(monkeypatch, x, snap, cfg) == (25, 32)
 
 
 class TestMasterStep:

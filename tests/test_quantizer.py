@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from dqsim.optim import AlgoConfig
 from dqsim.quantizer import (
     LowPrecisionVector,
-    QuantConfig,
     QuantGrid,
     choose_bx,
     expected_sq_error,
@@ -22,6 +22,15 @@ def rng_of(seed=0):
 
 def quantize_one(x, grid, rng):
     return int(quantize_on_grid([x], grid, rng).codes[0])
+
+
+def sq_dist(x, snap):
+    return float(np.sum((x - snap) ** 2))
+
+
+def chosen_width(rounding):
+    """The width a search result sends at: 32 when no width holds."""
+    return 32 if rounding is None else rounding.grid.bits
 
 
 class TestQuantizeScalar:
@@ -136,12 +145,12 @@ class TestChooseBx:
     def test_huge_budget_gives_minimum_width(self):
         rng = rng_of(13)
         x = rng.normal(size=12)
-        assert choose_bx(x, np.zeros(12), 1e6) == 2
+        assert chosen_width(choose_bx(x, 1e6 * sq_dist(x, np.zeros(12)))) == 2
 
     def test_zero_budget_gives_maximum_width(self):
         rng = rng_of(14)
         x = rng.normal(size=12)  # almost surely not exactly on any grid
-        assert choose_bx(x, np.zeros(12), 0.0) == 32
+        assert chosen_width(choose_bx(x, 0.0)) == 32
 
     def test_matches_exhaustive_scan(self):
         rng = rng_of(15)
@@ -150,19 +159,14 @@ class TestChooseBx:
             snap = rng.normal(size=10)
             mu = 0.1
             b_min = int(rng.integers(2, 17))
-            got = choose_bx(x, snap, mu, b_min)
-            budget = mu * float(np.sum((x - snap) ** 2))
+            budget = mu * sq_dist(x, snap)
+            got = chosen_width(choose_bx(x, budget, b_min))
             feasible = [
                 b for b in range(b_min, 33)
                 if expected_sq_error(x, grid_for(x, b)) <= budget
             ]
             expected = feasible[0] if feasible else 32
             assert got == expected
-
-    def test_equal_vectors_are_an_error(self):
-        x = np.ones(3)
-        with pytest.raises(ValueError, match="flag"):
-            choose_bx(x, x.copy(), 0.5)
 
 
 class TestMuRequired:
@@ -186,8 +190,8 @@ class TestMuRequired:
             x = rng.normal(size=16)
             snap = rng.normal(size=16)
             mu = 10.0 ** rng.uniform(-3, 1)
-            bits = choose_bx(x, snap, mu)
-            budget = mu * float(np.sum((x - snap) ** 2))
+            budget = mu * sq_dist(x, snap)
+            bits = chosen_width(choose_bx(x, budget))
             if expected_sq_error(x, grid_for(x, bits)) <= budget:
                 assert mu_required(x, snap, bits) <= mu
 
@@ -204,7 +208,7 @@ class TestMuRequired:
         x, snap = np.zeros(5), np.array([0.0, 1.5, -2.0, 0.25, 3.0])
         assert mu_required(x, snap, b_min) == 0.0
         for mu in (0.0, 0.5):
-            assert choose_bx(x, snap, mu, b_min) == b_min
+            assert chosen_width(choose_bx(x, mu * sq_dist(x, snap), b_min)) == b_min
 
 
 class TestTypes:
@@ -223,13 +227,13 @@ class TestTypes:
         assert q == LowPrecisionVector(QuantGrid(1.0, 2), np.array([-2, 1]))
 
     def test_quant_config_bounds(self):
-        QuantConfig(2, 32, 0.0)
+        AlgoConfig(b_x=2, b=32, mu=0.0)
         with pytest.raises(ValueError):
-            QuantConfig(1, 8, 0.1)
+            AlgoConfig(b_x=1, b=8, mu=0.1)
         with pytest.raises(ValueError):
-            QuantConfig(8, 33, 0.1)
+            AlgoConfig(b_x=8, b=33, mu=0.1)
         with pytest.raises(ValueError):
-            QuantConfig(8, 8, -0.1)
+            AlgoConfig(b_x=8, b=8, mu=-0.1)
 
     def test_clamp_rule_on_explicit_grid(self):
         rng = rng_of(18)
