@@ -18,7 +18,10 @@ Model-precision enforcement: the broadcast normally uses the configured model
 width, but when the exact expected quantization error would exceed the budget
 ``mu * ||x - snapshot||^2`` the width is widened (never narrowed) until the
 budget holds, degrading to an exact full-precision send if no width suffices.
-Widening can be disabled to study fixed-width budget violations instead.
+The iterate is rounded once at the configured width; that rounding gives the
+required budget, the budget test and, unless the width widens, the codes,
+and a widening search hands back the rounding it accepted. Widening can be
+disabled to study fixed-width budget violations instead.
 """
 
 from __future__ import annotations
@@ -269,14 +272,13 @@ def model_message(
         diag["b_x_used"] = FULL_PRECISION_BITS
         return codec.encode_full(x), diag
 
-    # x is checked and rounded at b_x once: that rounding gives mu_required,
-    # the budget test and, unless the width widens, the codes
     diff_sq = float(np.sum((x - snapshot) ** 2))
     budget = mu_scale * cfg.mu * diff_sq
     rounding = rounding_for(x, cfg.b_x)
     diag["mu_required"] = rounding.error / diff_sq
     for width in cfg.mu_probe_widths:
-        diag["mu_probes"][width] = rounding.at(width).error / diff_sq
+        probe = rounding if width == cfg.b_x else rounding.at(width)
+        diag["mu_probes"][width] = probe.error / diff_sq
 
     if diag["mu_required"] * diff_sq > budget:
         if cfg.bx_adapt:

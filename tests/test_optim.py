@@ -331,6 +331,10 @@ class TestModelMessageRoundings:
         x, snap = rng.normal(size=300), rng.normal(size=300)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=1e9)
         assert self.count(monkeypatch, x, snap, cfg) == (1, 8)
+        # a probe adds a rounding only at a width not yet rounded
+        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b_x=8, mu=1e9,
+                         mu_probe_widths=(4, 8))
+        assert self.count(monkeypatch, x, snap, cfg) == (2, 8)
 
     def test_widened_broadcast_rounds_once_per_width(self, monkeypatch):
         # widths 8 (rejected) and 9 (accepted, see test_widening_never_narrows)
