@@ -20,7 +20,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -69,26 +70,9 @@ _PROBLEM_DEFAULTS = {
     "box_radius": None,
 }
 
-_ALGO_DEFAULTS = {
-    "algo": "asylpg",
-    "epochs": 5,
-    "m": 20,
-    "eta": 0.1,
-    "b_x": 8,
-    "b": 8,
-    "mu": 0.1,
-    "phi": None,
-    "tau": 0,
-    "sigma": 2.0,
-    "batch_size": 1,
-    "seed": 0,
-    "eta_mode": "constant",
-    "bx_adapt": True,
-    "mu_probe_widths": [],
-    "metric_every": 1,
-    "track_grad_mapping": True,
-    "execution": "simulated",
-}
+# the algo section is AlgoConfig's fields, with JSON values for the defaults
+_ALGO_DEFAULTS = json.loads(json.dumps(
+    {f.name: f.default for f in fields(AlgoConfig)}))
 
 _WORKER_DEFAULTS = {"count": 1, "latency": {"kind": "fixed", "ticks": 1}}
 
@@ -116,13 +100,10 @@ class ExperimentConfig:
         }
 
     def algo_config(self) -> AlgoConfig:
-        kw = dict(self.algo)
-        kw["algo"] = Algorithm(kw["algo"])
-        kw["mu_probe_widths"] = tuple(kw.get("mu_probe_widths") or ())
         seed = self.run.get("seed")
-        if seed is not None:
-            kw["seed"] = seed
-        return AlgoConfig(**kw)
+        if seed is None:
+            return AlgoConfig(**self.algo)
+        return AlgoConfig(**{**self.algo, "seed": seed})
 
 
 @dataclass
@@ -177,6 +158,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     kind = cfg.problem["kind"]
     if kind not in ("synth_logistic", "libsvm_logistic", "synth_mlp"):
         raise ValueError(f"unknown problem kind {kind!r}")
+    if kind == "synth_mlp" and cfg.algo["eta_mode"] == "theory":
+        raise ValueError("algo.eta_mode 'theory' needs a smoothness estimate, "
+                         "which problem kind 'synth_mlp' lacks")
+    target = cfg.run["loss_target"]
+    if target not in (None, "auto") and (
+            isinstance(target, bool) or not isinstance(target, (int, float))):
+        raise ValueError("run.loss_target must be a number, 'auto', or null; "
+                         f"got {target!r}")
+    iters = cfg.run["oracle_iters"]
+    if not isinstance(iters, int) or isinstance(iters, bool) or iters < 0:
+        raise ValueError(f"run.oracle_iters must be an integer >= 0; got {iters!r}")
     if kind == "libsvm_logistic":
         path = cfg.problem["path"]
         if not path or not Path(path).exists():
@@ -257,17 +249,13 @@ def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
 def resolve_loss_target(config: ExperimentConfig,
                         problem: CompositeProblem) -> Optional[float]:
     """Absolute target, or best-known full-precision loss plus 10% of the
-    initial gap when set to "auto"."""
-    target = config.run.get("loss_target")
-    if target is None:
-        return None
-    if isinstance(target, (int, float)):
-        return float(target)
+    initial gap when set to "auto"; ``parse_config`` checked the value."""
+    target = config.run["loss_target"]
     if target == "auto":
         best = oracle_best_loss(problem, config.run["oracle_iters"])
         start = problem.objective(problem.initial_point())
         return best + 0.1 * (start - best)
-    raise ValueError(f"loss_target must be a number, 'auto', or null; got {target!r}")
+    return None if target is None else float(target)
 
 
 def _first_crossing(metrics: Sequence[dict], target: float):
@@ -330,12 +318,9 @@ def run_experiment(config: ExperimentConfig,
     result = run_training(problem, acfg, workers)
 
     theory = None
-    if problem.smoothness is not None:
-        if acfg.algo is Algorithm.SPARSE_ASYLPG:
-            if acfg.phi is not None:
-                theory = theory_constants(acfg, problem, phi=acfg.phi)
-        else:
-            theory = theory_constants(acfg, problem)
+    if problem.smoothness is not None and not (
+            acfg.algo is Algorithm.SPARSE_ASYLPG and acfg.phi is None):
+        theory = theory_constants(acfg, problem)
 
     crossing = _first_crossing(result.metrics, loss_target) \
         if loss_target is not None else None
@@ -393,12 +378,6 @@ def _jsonable(obj):
     return obj
 
 
-def _with_overrides(config: ExperimentConfig, **algo_overrides) -> ExperimentConfig:
-    raw = config.to_dict()
-    raw["algo"].update(algo_overrides)
-    return parse_config(raw)
-
-
 def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
                    budget_epochs: Optional[int] = None,
                    problem: Optional[CompositeProblem] = None) -> tuple[float, dict]:
@@ -411,12 +390,11 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
     if problem is None:
         problem = build_problem(config.problem)
     workers = build_workers(config.workers)
+    base = config.algo_config()
+    epochs = base.epochs if budget_epochs is None else budget_epochs
     results = {}
     for lr in grid:
-        cfg = _with_overrides(config, eta=lr, eta_mode="constant")
-        acfg = cfg.algo_config()
-        if budget_epochs is not None:
-            acfg = replace(acfg, epochs=budget_epochs)
+        acfg = replace(base, eta=lr, eta_mode="constant", epochs=epochs)
         try:
             results[lr] = run_training(problem, acfg, workers).final_loss
         except OverflowError:
@@ -437,20 +415,20 @@ def figure_mu_trace(config: ExperimentConfig,
     budget is a pure function of the broadcast iterate and snapshot), so
     coarser and finer widths are compared on identical iterates.
     """
-    cfg = _with_overrides(config, mu_probe_widths=sorted(set(probe_widths)))
-    problem = build_problem(cfg.problem)
-    workers = build_workers(cfg.workers)
-    result = run_training(problem, cfg.algo_config(), workers)
+    widths = sorted(set(probe_widths))
+    acfg = replace(config.algo_config(), mu_probe_widths=widths)
+    problem = build_problem(config.problem)
+    result = run_training(problem, acfg, build_workers(config.workers))
     rows = result.broadcasts
     if out_path:
-        fields = ["epoch", "version", "mu_required", "b_x_used", "violation"]
-        fields += [f"mu_required_b{w}" for w in sorted(set(probe_widths))]
+        columns = ["epoch", "version", "mu_required", "b_x_used", "violation"]
+        columns += [f"mu_required_b{w}" for w in widths]
         with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+            writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
             writer.writeheader()
             for row in rows:
-                writer.writerow({k: row.get(k, "") for k in fields})
-    summary = _mu_summary(rows, cfg.algo_config().m, sorted(set(probe_widths)))
+                writer.writerow({k: row.get(k, "") for k in columns})
+    summary = _mu_summary(rows, acfg.m, widths)
     summary["rows"] = rows
     return summary
 
@@ -481,13 +459,6 @@ def _mu_summary(rows: Sequence[dict], m: int, widths: Sequence[int]) -> dict:
     return summary
 
 
-def _compare_worker(args):
-    raw, target = args
-    config = parse_config(raw)
-    problem = build_problem(config.problem)
-    return run_experiment(config, problem=problem, loss_target=target)
-
-
 def compare_suite(configs: Sequence[ExperimentConfig],
                   loss_target: Optional[float] = None) -> dict:
     """Run several algorithms on one shared problem and tabulate
@@ -503,20 +474,13 @@ def compare_suite(configs: Sequence[ExperimentConfig],
     if loss_target is None:
         loss_target = resolve_loss_target(configs[0], problem)
 
+    run = partial(run_experiment, problem=problem, loss_target=loss_target)
     threads = int(os.environ.get("DQSIM_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    _compare_worker,
-                    [(c.to_dict(), loss_target) for c in configs],
-                )
-            )
+            reports = list(pool.map(run, configs))
     else:
-        reports = [
-            run_experiment(c, problem=problem, loss_target=loss_target)
-            for c in configs
-        ]
+        reports = list(map(run, configs))
 
     table = []
     baseline_bits = None

@@ -90,11 +90,12 @@ _GRAD_QUANTIZED = _MODEL_QUANTIZED | {Algorithm.QSVRG}
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Run configuration; field names follow the algorithm inputs."""
+    """Run configuration; field names follow the algorithm inputs. The fields
+    and their defaults are also the ``algo`` section of an experiment config."""
 
     algo: Algorithm = Algorithm.ASYLPG
-    epochs: int = 1  # S
-    m: int = 10  # inner iterations per epoch
+    epochs: int = 5  # S
+    m: int = 20  # inner iterations per epoch
     eta: float = 0.1  # step size (constant mode) or ignored in theory mode
     b_x: int = 8  # model bit width
     b: int = 8  # gradient bit width
@@ -114,6 +115,8 @@ class AlgoConfig:
     def __post_init__(self):
         algo = Algorithm(self.algo)
         object.__setattr__(self, "algo", algo)
+        object.__setattr__(self, "mu_probe_widths",
+                           tuple(self.mu_probe_widths or ()))
         if not 2 <= self.b_x <= FULL_PRECISION_BITS:
             raise ValueError(f"b_x must be in [2, {FULL_PRECISION_BITS}], got {self.b_x}")
         if not 2 <= self.b <= FULL_PRECISION_BITS:
@@ -126,6 +129,9 @@ class AlgoConfig:
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
         if self.eta_mode == "constant" and self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.eta_mode == "theory" and algo is Algorithm.SPARSE_ASYLPG \
+                and self.phi is None:
+            raise ValueError("eta_mode 'theory' for sparse_asylpg needs phi")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
         if algo in _ACCELERATED and self.sigma <= 1.0:

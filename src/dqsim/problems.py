@@ -129,9 +129,11 @@ class Dataset:
         return self._dense if self._dense is not None else self._csr.toarray()
 
     def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """A[rows] @ x for a vector or a d x K block ``x``. ``rows`` is a
-        unit-step slice (the default is the whole matrix) or an array of row
-        indices, repeats allowed. On CSR a row range slices ``A @ x``."""
+        """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
+        whole matrix), which takes a vector or a d x K block ``x``, or an
+        array of row indices, repeats allowed, which takes a vector only.
+        On CSR a row range slices ``A @ x``."""
+        _check_batch_operand(rows, x)
         if self._dense is not None:
             return self._dense[rows] @ x
         if isinstance(rows, slice):
@@ -140,19 +142,24 @@ class Dataset:
         row_ids, cols, vals, k = self._gather(rows)
         return np.bincount(row_ids, weights=vals * x[cols], minlength=k)
 
-    def tdot(self, w: np.ndarray, rows=slice(None),
-             cols=slice(None)) -> np.ndarray:
-        """A[rows].T @ w[..., cols] for a vector or an n x K block ``w``,
-        with ``rows`` as in ``dot``. Dense storage multiplies the whole block,
-        as a narrower GEMM rounds differently, and picks the columns after.
-        CSR multiplies only those, each with the bits of its vector product,
-        and a row range as the whole transpose times ``w`` zero-padded."""
+    def tdot(self, w: np.ndarray, rows=slice(None), cols=None) -> np.ndarray:
+        """A[rows].T @ w, with ``rows`` and the vector or n x K block ``w``
+        as in ``dot``. ``cols`` picks columns of a block, so it needs a row
+        slice. Dense storage multiplies the whole block, as a narrower GEMM
+        rounds differently, and picks the columns after. CSR multiplies only
+        those, each with the bits of its vector product, and a row range as
+        the whole transpose times ``w`` zero-padded."""
+        _check_batch_operand(rows, w)
+        if cols is not None and w.ndim != 2:
+            raise ValueError("cols picks columns of a block w, not of a vector")
         if self._dense is not None:
-            return (self._dense[rows].T @ w)[..., cols]
+            out = self._dense[rows].T @ w
+            return out if cols is None else out[:, cols]
         if not isinstance(rows, slice):
             row_ids, idx, vals, _ = self._gather(rows)
             return np.bincount(idx, weights=vals * w[row_ids], minlength=self.d)
-        w = w[..., cols]
+        if cols is not None:
+            w = w[:, cols]
         lo, hi = self._row_range(rows)
         if (lo, hi) != (0, self.n):
             w = np.pad(w, [(lo, self.n - hi)] + [(0, 0)] * (w.ndim - 1))
@@ -185,6 +192,12 @@ class Dataset:
         A.sum_duplicates()  # a no-op on sorted rows without repeats
         sq = type(A)((np.square(A.data), A.indices, A.indptr), shape=A.shape)
         return sq @ np.ones(self.d)
+
+
+def _check_batch_operand(rows, v: np.ndarray) -> None:
+    """An index batch of rows multiplies a vector only."""
+    if not isinstance(rows, slice) and v.ndim != 1:
+        raise ValueError("an index batch of rows takes a vector, not a block")
 
 
 def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -323,8 +336,8 @@ class LogisticProblem(CompositeProblem):
         losses = [f + self.h_value(X[:, j]) for j, f in enumerate(fs)]
         if not grad_cols:
             return losses, np.empty((self.d, 0))
-        every = len(grad_cols) == X.shape[1]  # a slice picks them uncopied
-        S = self.data.tdot(G, cols=slice(None) if every else grad_cols)
+        every = len(grad_cols) == X.shape[1]  # then no pick, no copy
+        S = self.data.tdot(G, cols=None if every else grad_cols)
         return losses, (S + self.n * self.lambda2 * X[:, grad_cols]) / self.n
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:

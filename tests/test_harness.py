@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from dqsim import harness
 from dqsim.harness import (
     build_problem,
     build_workers,
@@ -17,6 +19,7 @@ from dqsim.harness import (
     resolve_loss_target,
     run_experiment,
 )
+from dqsim.optim import AlgoConfig
 from dqsim.problems import CompositeProblem
 from dqsim.simnet import FixedLatency, GeometricLatency, UniformLatency
 
@@ -88,6 +91,42 @@ class TestConfig:
     def test_missing_dataset_path_rejected(self):
         with pytest.raises(ValueError, match="path"):
             parse_config({"problem": {"kind": "libsvm_logistic", "path": "/nope"}})
+
+    def test_algo_section_is_algo_config(self):
+        # every AlgoConfig field is a config key with the same default, and
+        # the materialized section is the one configs have always written
+        defaults = parse_config({}).algo
+        assert list(defaults) == [f.name for f in dataclasses.fields(AlgoConfig)]
+        assert parse_config({}).algo_config() == AlgoConfig()
+        assert json.dumps(defaults) == json.dumps({
+            "algo": "asylpg", "epochs": 5, "m": 20, "eta": 0.1, "b_x": 8,
+            "b": 8, "mu": 0.1, "phi": None, "tau": 0, "sigma": 2.0,
+            "batch_size": 1, "seed": 0, "eta_mode": "constant",
+            "bx_adapt": True, "mu_probe_widths": [], "metric_every": 1,
+            "track_grad_mapping": True, "execution": "simulated"})
+        assert AlgoConfig(mu_probe_widths=[8, 4]).mu_probe_widths == (8, 4)
+        assert AlgoConfig(mu_probe_widths=None).mu_probe_widths == ()
+
+    @pytest.mark.parametrize("run, key", [
+        ({"loss_target": "autoo"}, "run.loss_target"),
+        ({"loss_target": True}, "run.loss_target"),
+        ({"oracle_iters": -5}, "run.oracle_iters"),
+    ])
+    def test_bad_run_values_rejected_at_parse(self, run, key):
+        with pytest.raises(ValueError, match=key):
+            parse_config({"run": run})
+
+    def test_sparse_theory_mode_without_phi_rejected_at_parse(self):
+        with pytest.raises(ValueError, match="eta_mode 'theory'.*needs phi"):
+            parse_config({"algo": {"algo": "sparse_asylpg",
+                                   "eta_mode": "theory"}})
+        parse_config({"algo": {"algo": "sparse_asylpg", "eta_mode": "theory",
+                               "phi": 4.0}})
+
+    def test_theory_mode_without_smoothness_rejected_at_parse(self):
+        with pytest.raises(ValueError, match="algo.eta_mode 'theory'"):
+            parse_config({"problem": {"kind": "synth_mlp"},
+                          "algo": {"eta_mode": "theory"}})
 
     def test_run_seed_overrides_algo_seed(self):
         cfg = base_config(seed=99)
@@ -261,6 +300,21 @@ class TestGridSearch:
             lr_grid_search(self.divergent_config(), [1e6])
 
 
+def test_overrides_parse_no_config(monkeypatch):
+    # the grid search and the mu trace override the one parsed AlgoConfig
+    cfg = base_config()
+    calls = []
+
+    def counting_parse(raw):
+        calls.append(raw)
+        return parse_config(raw)
+
+    monkeypatch.setattr(harness, "parse_config", counting_parse)
+    lr_grid_search(cfg, [0.1, 0.5], budget_epochs=1)
+    figure_mu_trace(cfg, probe_widths=(4, 8))
+    assert calls == []
+
+
 class TestMuTrace:
     def test_trace_and_summary(self, tmp_path):
         out = tmp_path / "mu.csv"
@@ -353,3 +407,5 @@ class TestCompareSuite:
             del os.environ["DQSIM_THREADS"]
         assert [r["bits_to_target"] for r in serial["table"]] == \
             [r["bits_to_target"] for r in parallel["table"]]
+        assert [r.to_dict() for r in serial["reports"]] == \
+            [r.to_dict() for r in parallel["reports"]]

@@ -303,6 +303,23 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
 
 
+def test_index_batch_takes_a_vector_and_cols_a_sliced_block(storage):
+    X = np.arange(12.0).reshape(4, 3)
+    data = Dataset.from_dense(X, np.ones(4))
+    batch = np.array([2, 0, 2])
+    np.testing.assert_array_equal(data.dot(np.ones(3), batch), [21.0, 3.0, 21.0])
+    np.testing.assert_array_equal(data.tdot(np.ones(3), batch), [12.0, 15.0, 18.0])
+    with pytest.raises(ValueError, match="index batch of rows takes a vector"):
+        data.dot(np.ones((3, 2)), batch)
+    with pytest.raises(ValueError, match="index batch of rows takes a vector"):
+        data.tdot(np.ones((3, 2)), batch)
+    with pytest.raises(ValueError, match="cols picks columns of a block"):
+        data.tdot(np.ones(3), batch, cols=[1])
+    W = np.arange(4.0).reshape(2, 2)
+    np.testing.assert_array_equal(data.tdot(W, slice(1, 3), cols=[1]),
+                                  X[1:3].T @ W[:, [1]])
+
+
 def test_row_norms_sum_each_row_in_column_order(storage):
     # the smoothness estimate reads these bits; 300 columns make numpy's
     # pairwise summation show
