@@ -29,11 +29,11 @@ from .harness import (
 
 def _apply_overrides(config, args):
     raw = config.to_dict()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         raw["run"]["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         raw["run"]["out_dir"] = args.out
-    if getattr(args, "algo", None) is not None:
+    if args.algo is not None:
         raw["algo"]["algo"] = args.algo
     return parse_config(raw)
 
@@ -115,8 +115,7 @@ def main(argv=None) -> int:
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
 
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    parser.error(f"unknown command {args.command!r}")  # exits
 
 
 if __name__ == "__main__":

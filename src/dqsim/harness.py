@@ -92,18 +92,11 @@ class ExperimentConfig:
     run: dict
 
     def to_dict(self) -> dict:
-        return {
-            "problem": copy.deepcopy(self.problem),
-            "algo": copy.deepcopy(self.algo),
-            "workers": copy.deepcopy(self.workers),
-            "run": copy.deepcopy(self.run),
-        }
+        return asdict(self)  # a deep copy
 
     def algo_config(self) -> AlgoConfig:
-        seed = self.run.get("seed")
-        if seed is None:
-            return AlgoConfig(**self.algo)
-        return AlgoConfig(**{**self.algo, "seed": seed})
+        config, seed = AlgoConfig(**self.algo), self.run["seed"]
+        return config if seed is None else replace(config, seed=seed)
 
 
 @dataclass
@@ -183,44 +176,51 @@ def load_config(path) -> ExperimentConfig:
 
 def build_problem(pcfg: dict) -> CompositeProblem:
     kind = pcfg["kind"]
-    if kind == "synth_logistic":
-        data = synth_dataset(pcfg["n"], pcfg["d"], pcfg["seed"],
-                             flip_prob=pcfg["flip_prob"])
-        return logistic_problem(data, pcfg["lambda1"], pcfg["lambda2"],
-                                box_radius=pcfg["box_radius"])
-    if kind == "libsvm_logistic":
-        data = load_libsvm(pcfg["path"])
-        return logistic_problem(data, pcfg["lambda1"], pcfg["lambda2"],
-                                box_radius=pcfg["box_radius"])
     if kind == "synth_mlp":
         data = synth_multiclass_dataset(pcfg["n"], pcfg["d"], pcfg["classes"],
                                         pcfg["seed"])
         return mlp_problem(data, hidden=pcfg["hidden"], lambda2=pcfg["lambda2"],
                            init_seed=pcfg["seed"])
-    raise ValueError(f"unknown problem kind {kind!r}")
+    if kind == "synth_logistic":
+        data = synth_dataset(pcfg["n"], pcfg["d"], pcfg["seed"],
+                             flip_prob=pcfg["flip_prob"])
+    elif kind == "libsvm_logistic":
+        data = load_libsvm(pcfg["path"])
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return logistic_problem(data, pcfg["lambda1"], pcfg["lambda2"],
+                            box_radius=pcfg["box_radius"])
+
+
+_LATENCY_KINDS = {"fixed": FixedLatency, "uniform": UniformLatency,
+                  "geometric": GeometricLatency}
 
 
 def build_workers(wcfg: dict) -> list[WorkerSpec]:
-    count = wcfg["count"]
-    if count < 1:
-        raise ValueError("worker count must be >= 1")
-    latency = wcfg["latency"]
-    specs = []
-    for i in range(count):
-        spec = latency[i] if isinstance(latency, list) else latency
-        specs.append(WorkerSpec(i, _latency_model(spec)))
-    return specs
+    count, latency = wcfg["count"], wcfg["latency"]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"workers.count must be an integer >= 1, got {count!r}")
+    if not isinstance(latency, list):
+        latency = [latency] * count
+    elif len(latency) != count:
+        raise ValueError(f"workers.latency has {len(latency)} entries, "
+                         f"workers.count is {count}")
+    return [WorkerSpec(i, _latency_model(spec)) for i, spec in enumerate(latency)]
 
 
 def _latency_model(spec: dict):
-    kind = spec.get("kind", "fixed")
-    if kind == "fixed":
-        return FixedLatency(int(spec.get("ticks", 1)))
-    if kind == "uniform":
-        return UniformLatency(int(spec["low"]), int(spec["high"]))
-    if kind == "geometric":
-        return GeometricLatency(float(spec["p"]))
-    raise ValueError(f"unknown latency kind {kind!r}")
+    """The class of ``kind`` (default fixed) built from the other keys,
+    which it checks: an unknown key or a wrong type is an error."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a workers.latency entry must be an object, got {spec!r}")
+    args = dict(spec)
+    kind = args.pop("kind", "fixed")
+    if kind not in _LATENCY_KINDS:
+        raise ValueError(f"unknown latency kind {kind!r}")
+    try:
+        return _LATENCY_KINDS[kind](**args)
+    except TypeError as exc:  # a key the class does not have, or lacks one
+        raise ValueError(f"workers.latency {kind!r}: {exc}") from exc
 
 
 def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
@@ -470,12 +470,15 @@ def compare_suite(configs: Sequence[ExperimentConfig],
     for c in configs[1:]:
         if c.problem != base:
             raise ValueError("compared configs must share the problem section")
+    threads = os.environ.get("DQSIM_THREADS", "1")
+    if not threads.isdecimal() or int(threads) < 1:  # checked before set-up
+        raise ValueError(f"DQSIM_THREADS must be an integer >= 1, got {threads!r}")
+    threads = int(threads)
     problem = build_problem(base)
     if loss_target is None:
         loss_target = resolve_loss_target(configs[0], problem)
 
     run = partial(run_experiment, problem=problem, loss_target=loss_target)
-    threads = int(os.environ.get("DQSIM_THREADS", "1"))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(run, configs))

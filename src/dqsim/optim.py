@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,6 +51,7 @@ from .simnet import (
     FixedLatency,
     StalenessRecord,
     WorkerSpec,
+    check_field_types,
     epoch_barrier,
     run_inner_loop,
     run_inner_loop_threads,
@@ -113,14 +115,19 @@ class AlgoConfig:
     execution: str = "simulated"  # "simulated" (deterministic) or "threads"
 
     def __post_init__(self):
+        check_field_types(self)
         algo = Algorithm(self.algo)
         object.__setattr__(self, "algo", algo)
-        object.__setattr__(self, "mu_probe_widths",
-                           tuple(self.mu_probe_widths or ()))
-        if not 2 <= self.b_x <= FULL_PRECISION_BITS:
-            raise ValueError(f"b_x must be in [2, {FULL_PRECISION_BITS}], got {self.b_x}")
-        if not 2 <= self.b <= FULL_PRECISION_BITS:
-            raise ValueError(f"b must be in [2, {FULL_PRECISION_BITS}], got {self.b}")
+        widths = self.mu_probe_widths or ()
+        if not isinstance(widths, (list, tuple)):
+            raise ValueError(f"mu_probe_widths must be a list, got {widths!r}")
+        object.__setattr__(self, "mu_probe_widths", tuple(widths))
+        for name, width in [("b_x", self.b_x), ("b", self.b),
+                            *(("mu_probe_widths", w) for w in widths)]:
+            if isinstance(width, bool) or not isinstance(width, numbers.Integral) \
+                    or not 2 <= width <= FULL_PRECISION_BITS:
+                raise ValueError(f"{name} must be in [2, {FULL_PRECISION_BITS}], "
+                                 f"got {width!r}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if self.epochs < 1 or self.m < 1:
@@ -425,22 +432,16 @@ def theory_constants(
 
 def _epoch_etas(cfg: AlgoConfig, L: Optional[float], d: int) -> list[float]:
     """Step size per epoch (momentum variants decay with the weight)."""
+    theory = cfg.eta_mode == "theory"
+    if theory and L is None:
+        raise ValueError("theory mode needs a smoothness estimate")
     if cfg.algo in _ACCELERATED:
-        etas = []
-        for s in range(1, cfg.epochs + 1):
-            theta = momentum_weight(s)
-            if cfg.eta_mode == "theory":
-                if L is None:
-                    raise ValueError("theory mode needs a smoothness estimate")
-                etas.append(1.0 / (cfg.sigma * L * theta))
-            else:
-                etas.append(cfg.eta / theta)
-        return etas
-    if cfg.eta_mode == "theory":
-        if L is None:
-            raise ValueError("theory mode needs a smoothness estimate")
-        rho = theory_rho(cfg, d, cfg.phi)
-        return [rho / L] * cfg.epochs
+        thetas = [momentum_weight(s) for s in range(1, cfg.epochs + 1)]
+        if theory:
+            return [1.0 / (cfg.sigma * L * theta) for theta in thetas]
+        return [cfg.eta / theta for theta in thetas]
+    if theory:
+        return [theory_rho(cfg, d, cfg.phi) / L] * cfg.epochs
     return [cfg.eta] * cfg.epochs
 
 

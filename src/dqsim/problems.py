@@ -7,10 +7,13 @@ lives inside f so that h is exactly the L1 norm and its prox is the
 coordinatewise soft threshold) and a small fully-connected ReLU network with
 softmax loss and L2 weight decay (h = 0, prox = identity).
 
-``Dataset`` is the one place that picks how the matrix is stored, once, when
-it is built, and it stores it once: as a dense array when ``n * d <=
-_DENSE_CACHE_LIMIT``, as a scipy CSR array otherwise. A column named twice in
-a row holds the sum of its entries on both. On CSR, the whole matrix, its
+``Dataset`` stores its matrix once, in the storage its input arrives in:
+CSR arrays (``Dataset(indptr, indices, values, labels, d)``, so every
+``load_libsvm`` file) as a scipy CSR array, and a dense array
+(``Dataset.from_dense``, so every synthetic dataset) as that array, whatever
+its size. A column named twice in a CSR row holds the sum of its entries.
+scipy is imported for CSR storage only (about 22 MB and 0.2 s a process), so
+a libsvm file of any size loads it. On CSR, the whole matrix, its
 transpose and row ranges (the metrics, the set-up oracle and the epoch
 barrier) go through scipy's compiled ``csr_matvec``/``csc_matvec`` or, on a
 block of columns, ``csr_matvecs``/``csc_matvecs``; a gathered batch of rows
@@ -52,17 +55,13 @@ __all__ = [
     "synth_multiclass_dataset",
 ]
 
-# Row count * dim up to which a Dataset stores its matrix as a dense array;
-# above it, as a CSR array.
-_DENSE_CACHE_LIMIT = 20_000_000
-
-
 class Dataset:
-    """A matrix with one label per row, built from CSR arrays and stored
-    once, as the module docstring says. A CSR-stored dataset wraps the input
+    """A matrix with one label per row, stored once in the storage of its
+    input: CSR arrays as a scipy CSR array, ``from_dense`` as the dense
+    array. Neither is converted to the other. The CSR array wraps the input
     arrays without copying them: they are its ``indptr``, ``indices`` and
-    ``values``, which a dense-stored one does not have. A gathered batch of
-    rows takes the ``bincount``, as scipy's fancy row indexing copies the
+    ``values``, which a dense-stored dataset does not have. A gathered batch
+    of rows takes the ``bincount``, as scipy's fancy row indexing copies the
     rows first and measured 3-4.5x slower at 50 rows.
     """
 
@@ -83,17 +82,11 @@ class Dataset:
             raise ValueError("values and indices must have the same length")
         if indices.size and not 0 <= indices.min() <= indices.max() < d:
             raise ValueError("feature index outside [0, d)")
-        if n * d <= _DENSE_CACHE_LIMIT:
-            rows = np.repeat(np.arange(n), np.diff(indptr))
-            matrix = np.bincount(rows * d + indices, weights=values,
-                                 minlength=n * d).reshape(n, d)
-        else:
-            # imported here, not at module top: scipy adds about 22 MB of
-            # memory and 0.2 s to a process, which dense storage never needs
-            from scipy.sparse import csr_array
+        # imported here, not at module top: scipy adds about 22 MB of
+        # memory and 0.2 s to a process, which dense storage never needs
+        from scipy.sparse import csr_array
 
-            matrix = csr_array((values, indices, indptr), shape=(n, d))
-        self._store(matrix, labels)
+        self._store(csr_array((values, indices, indptr), shape=(n, d)), labels)
 
     def _store(self, matrix, labels) -> None:
         self.labels = np.asarray(labels, dtype=np.float64)
@@ -110,13 +103,8 @@ class Dataset:
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
         """Dense storage keeps a C-contiguous float64 ``X`` itself, no copy."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.size > _DENSE_CACHE_LIMIT:
-            rows, cols = np.nonzero(X)
-            indptr = np.searchsorted(rows, np.arange(len(X) + 1))
-            return cls(indptr, cols, X[rows, cols], labels, X.shape[1])
         data = cls.__new__(cls)
-        data._store(X, labels)
+        data._store(np.ascontiguousarray(X, dtype=np.float64), labels)
         return data
 
     @property
@@ -289,15 +277,12 @@ class LogisticProblem(CompositeProblem):
     def h_value(self, x: np.ndarray) -> float:
         return self.lambda1 * float(np.sum(np.abs(x)))
 
-    def _coeffs(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # d/dm log(1+exp(-m)) = -sigmoid(-m), chain rule through m = y a.x,
-        # with sigmoid(-m) = exp(-log(1 + exp(m))) computed stably for any m
-        return -y * np.exp(-np.logaddexp(0.0, margins))
-
     def _loss_grad_sum(self, rows, x: np.ndarray) -> np.ndarray:
         """Sum over A[rows] of the per-sample loss gradients, L2 term left out."""
+        # d/dm log(1+exp(-m)) = -sigmoid(-m), chain rule through m = y a.x,
+        # with sigmoid(-m) = exp(-log(1 + exp(m))) computed stably for any m
         y = self.y[rows]
-        c = self._coeffs(y * self.data.dot(x, rows), y)
+        c = -y * np.exp(-np.logaddexp(0.0, y * self.data.dot(x, rows)))
         return self.data.tdot(c, rows)
 
     def grad_batch(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:

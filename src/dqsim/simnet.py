@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -49,11 +50,29 @@ __all__ = [
 ]
 
 
+# The values a config dataclass field of each annotation takes; a bool is
+# an int to Python, so it passes only where the annotation is bool.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real,
+                "Optional[float]": (numbers.Real, type(None)), "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """Raise ValueError, naming the field, when a field of the dataclass
+    ``config`` does not hold a value of its annotated type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_TYPES and (
+                not isinstance(value, _FIELD_TYPES[f.type])
+                or isinstance(value, bool) != (f.type == "bool")):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedLatency:
-    ticks: int
+    ticks: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.ticks < 1:
             raise ValueError(f"latency must be >= 1 tick, got {self.ticks}")
 
@@ -67,6 +86,7 @@ class UniformLatency:
     high: int  # inclusive
 
     def __post_init__(self):
+        check_field_types(self)
         if self.low < 1 or self.high < self.low:
             raise ValueError(f"need 1 <= low <= high, got [{self.low}, {self.high}]")
 
@@ -79,6 +99,7 @@ class GeometricLatency:
     p: float  # success probability; support {1, 2, ...}
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"geometric p must be in (0, 1], got {self.p}")
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from dqsim.problems import LogisticProblem, MLPProblem
+from dqsim.problems import Dataset, LogisticProblem, MLPProblem
 from dqsim.sparsifier import SparsePlan, SparseRealVector
 
 
@@ -57,6 +57,17 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
                                np.outer(p, a1).ravel(), p])
         return flat + problem.lambda2 * x
     raise TypeError(f"no per-sample oracle for {type(problem).__name__}")
+
+
+def as_csr(data) -> Dataset:
+    """``data``'s matrix and labels again, built from CSR arrays of its
+    nonzero entries in row-major order, so stored as a scipy CSR array."""
+    X = data.dense()
+    rows, cols = np.nonzero(X)
+    indptr = np.searchsorted(rows, np.arange(data.n + 1))
+    out = Dataset(indptr, cols, X[rows, cols], data.labels, data.d)
+    assert not isinstance(out.matrix, np.ndarray)
+    return out
 
 
 def _csr_entries(data, rows):

@@ -19,7 +19,6 @@ if __name__ == "__main__":  # run as a script from a checkout
 import numpy as np
 import pytest
 
-from dqsim import problems
 from dqsim.harness import parse_config, run_experiment
 from dqsim.optim import Algorithm
 from dqsim.problems import Dataset, write_libsvm
@@ -128,14 +127,21 @@ def _write_sparse_libsvm(path) -> None:
     write_libsvm(path, Dataset(indptr, indices, values, labels, d))
 
 
+def _problem_section(name: str, tmp_path: Path) -> dict:
+    """The case's problem section, with the libsvm file written and named."""
+    problem = CASES[name]["problem"]
+    if problem["kind"] != "libsvm_logistic":
+        return problem
+    path = tmp_path / "data.libsvm"
+    _write_sparse_libsvm(path)
+    return {**problem, "path": str(path)}
+
+
 def fingerprint(name: str, tmp_path: Path) -> tuple:
-    raw = {**CASES[name], "workers": _WORKERS,
-           "run": {"out_dir": str(tmp_path / name), "loss_target": None}}
-    if raw["problem"]["kind"] == "libsvm_logistic":
-        path = tmp_path / "data.libsvm"
-        _write_sparse_libsvm(path)
-        raw["problem"] = {**raw["problem"], "path": str(path)}
-    return _fingerprint_of(raw)
+    return _fingerprint_of(
+        {**CASES[name], "problem": _problem_section(name, tmp_path),
+         "workers": _WORKERS,
+         "run": {"out_dir": str(tmp_path / name), "loss_target": None}})
 
 
 def _fingerprint_of(raw: dict) -> tuple:
@@ -148,16 +154,15 @@ def _fingerprint_of(raw: dict) -> tuple:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_fingerprint(name, tmp_path, monkeypatch):
-    if name == "libsvm_csr":
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+def test_golden_fingerprint(name, tmp_path):
     assert fingerprint(name, tmp_path) == GOLDEN[name]
 
 
-def _threads_and_simulated(algo: str, tmp_path: Path) -> tuple:
+def _threads_and_simulated(algo: str, tmp_path: Path,
+                           problem: dict = _SYNTH) -> tuple:
     def run(execution):
         return _fingerprint_of(
-            {"problem": _SYNTH,
+            {"problem": problem,
              "algo": {**_ALGO, "algo": algo, "tau": 0, "execution": execution},
              "workers": {"count": 1, "latency": {"kind": "fixed", "ticks": 1}},
              "run": {"out_dir": str(tmp_path / execution), "loss_target": None}})
@@ -175,17 +180,19 @@ def test_threads_reproduce_simulated_run(algo, tmp_path):
 
 
 def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
-    # the same on CSR storage, where the barrier and the metrics take
-    # scipy's whole-matrix products and the workers the gathered bincount
-    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    # the same on the CSR-stored libsvm case, where the barrier and the
+    # metrics take scipy's whole-matrix products and the workers the
+    # gathered bincount
     row_ranges = []
 
     def counted(data, rows, inner=Dataset._row_range):
+        assert not isinstance(data.matrix, np.ndarray)
         row_ranges.append(rows)
         return inner(data, rows)
 
     monkeypatch.setattr(Dataset, "_row_range", counted)
-    threads, simulated = _threads_and_simulated("sparse_asylpg", tmp_path)
+    threads, simulated = _threads_and_simulated(
+        "sparse_asylpg", tmp_path, _problem_section("libsvm_csr", tmp_path))
     assert row_ranges
     assert threads == simulated
 
@@ -193,11 +200,9 @@ def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
 if __name__ == "__main__":
     import tempfile
 
-    limit = problems._DENSE_CACHE_LIMIT
     with tempfile.TemporaryDirectory() as tmp:
         print("GOLDEN = {")
         for name in sorted(CASES):
-            problems._DENSE_CACHE_LIMIT = 0 if name == "libsvm_csr" else limit
             print(f"    {name!r}: (")
             for value in fingerprint(name, Path(tmp)):
                 print(f"        {value!r},")

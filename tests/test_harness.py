@@ -116,6 +116,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             parse_config({"run": run})
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", 2.5), ("tau", 1.5), ("epochs", True), ("b_x", 8.5),
+        ("batch_size", 2.0), ("seed", 1.5), ("metric_every", 1.5),
+        ("mu_probe_widths", [40]), ("mu_probe_widths", [True]),
+        ("mu_probe_widths", 8), ("bx_adapt", "no"), ("track_grad_mapping", 1),
+        ("eta", "0.1"), ("mu", True), ("sigma", "2"), ("phi", "4"),
+    ])
+    def test_bad_algo_values_rejected_at_parse(self, key, value):
+        # a wrong type fails where the config is read, naming its field,
+        # not late in the run or silently as another value
+        with pytest.raises(ValueError, match=key):
+            parse_config({"algo": {key: value}})
+
     def test_sparse_theory_mode_without_phi_rejected_at_parse(self):
         with pytest.raises(ValueError, match="eta_mode 'theory'.*needs phi"):
             parse_config({"algo": {"algo": "sparse_asylpg",
@@ -144,6 +157,30 @@ class TestConfig:
         assert isinstance(specs[1].latency, GeometricLatency)
         with pytest.raises(ValueError):
             build_workers({"count": 0, "latency": {"kind": "fixed", "ticks": 1}})
+
+    @pytest.mark.parametrize("workers, match", [
+        ({"latency": {"kind": "fixed", "tick": 3}}, "tick"),
+        ({"latency": {"kind": "uniform", "low": 1.9, "high": 3}}, "low"),
+        ({"latency": {"kind": "uniform", "low": 1}}, "high"),
+        ({"latency": {"kind": "fixed", "ticks": "3"}}, "ticks"),
+        ({"latency": {"kind": "geometric", "p": "0.5"}}, "p must be"),
+        ({"latency": {"kind": "gauss"}}, "unknown latency kind"),
+        ({"latency": "fixed"}, "must be an object"),
+        ({"count": True}, "workers.count"),
+        ({"count": 2.0}, "workers.count"),
+        ({"count": 3, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
+        ({"count": 1, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
+    ], ids=["unknown_key", "float_low", "missing_high", "str_ticks", "str_p",
+            "unknown_kind", "not_object", "bool_count", "float_count",
+            "short_list", "long_list"])
+    def test_bad_workers_rejected_at_parse(self, workers, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config({"workers": workers})
+
+    def test_fixed_latency_defaults_to_one_tick(self):
+        specs = parse_config({"workers": {"count": 2, "latency": [
+            {"kind": "fixed"}, {}]}}).workers
+        assert [s.latency for s in build_workers(specs)] == [FixedLatency(1)] * 2
 
     def test_problem_kinds(self):
         assert build_problem(base_config().problem).n == 400
@@ -396,6 +433,16 @@ class TestCompareSuite:
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
             compare_suite(self.make_configs(["asylpg"]))
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
+    def test_bad_thread_count_rejected_before_setup(self, value, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(harness, "build_problem", refuse)
+        monkeypatch.setenv("DQSIM_THREADS", value)
+        with pytest.raises(ValueError, match="DQSIM_THREADS"):
+            compare_suite(self.make_configs(["asyfpg", "asylpg"]))
 
     def test_parallel_execution_matches_serial(self):
         configs = self.make_configs(["asyfpg", "asylpg"])

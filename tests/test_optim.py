@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from dqsim import codec, optim, problems, quantizer
+from dqsim import codec, optim, quantizer
 from dqsim.codec import MessageKind
 from dqsim.harness import parse_config, run_experiment
 from dqsim.optim import (
@@ -36,7 +36,7 @@ from dqsim.quantizer import (
 )
 from dqsim.simnet import UniformLatency, WorkerSpec
 
-from oracles import grad_sample, serial_prox_svrg
+from oracles import as_csr, grad_sample, serial_prox_svrg
 
 
 def rng_of(seed=0):
@@ -661,10 +661,11 @@ class TestMetricColumns:
                                                 monkeypatch):
         # the momentum variant's step size changes every epoch; with the
         # base class's loss_and_grads the run evaluates per iterate
+        data = synth_dataset(150, 25, 8)
         if storage == "csr":
-            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-        prob = logistic_problem(synth_dataset(150, 25, 8), 0.02, 1e-3,
-                                box_radius=box)
+            data = as_csr(data)
+        assert isinstance(data.matrix, np.ndarray) == (storage == "dense")
+        prob = logistic_problem(data, 0.02, 1e-3, box_radius=box)
         cfg = AlgoConfig(algo=algo, epochs=3, m=20, eta=0.2, b_x=6, b=6,
                          tau=2, seed=9, batch_size=3)
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
@@ -692,13 +693,14 @@ class TestMetricColumns:
         def refuse(*args):
             raise AssertionError("a metric was evaluated per iterate")
 
+        data = synth_dataset(80, 10, 4)
         if storage == "csr":
-            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-
+            data = as_csr(data)
+        assert isinstance(data.matrix, np.ndarray) == (storage == "dense")
         monkeypatch.setattr(CompositeProblem, "objective", refuse)
         monkeypatch.setattr(CompositeProblem, "loss_and_grads", refuse)
         monkeypatch.setattr(CompositeProblem, "full_grad", refuse)
-        prob = logistic_problem(synth_dataset(80, 10, 4), 1e-3, 1e-3)
+        prob = logistic_problem(data, 1e-3, 1e-3)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, execution=execution)
         workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
@@ -714,8 +716,7 @@ class TestMetricColumns:
         # the transposed product, which on CSR storage is a CSC product
         from scipy.sparse import csc_array
 
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-        prob = logistic_problem(synth_dataset(90, 12, 4), 1e-3, 1e-3)
+        prob = logistic_problem(as_csr(synth_dataset(90, 12, 4)), 1e-3, 1e-3)
         columns = []
         inner_matmul = csc_array.__matmul__
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqsim import problems
 from dqsim.problems import (
     CompositeProblem,
     Dataset,
@@ -20,7 +19,7 @@ from dqsim.problems import (
     write_libsvm,
 )
 
-from oracles import (csr_dot, csr_tdot, finite_diff_grad, grad_sample,
+from oracles import (as_csr, csr_dot, csr_tdot, finite_diff_grad, grad_sample,
                      prox_bruteforce)
 
 
@@ -28,24 +27,43 @@ def rng_of(seed=0):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def small_logistic(n=40, d=7, seed=1, lambda1=0.01, lambda2=0.001, **kw):
-    return logistic_problem(synth_dataset(n, d, seed), lambda1, lambda2, **kw)
+def small_logistic(n=40, d=7, seed=1, lambda1=0.01, lambda2=0.001,
+                   storage="dense", **kw):
+    return logistic_problem(stored_as(storage, synth_dataset(n, d, seed)),
+                            lambda1, lambda2, **kw)
+
+
+def stored_as(storage: str, data: Dataset) -> Dataset:
+    """``data`` in the storage named: "dense" through ``from_dense``,
+    "csr" through CSR arrays."""
+    if storage == "csr":
+        return as_csr(data)
+    data = Dataset.from_dense(data.dense(), data.labels)
+    assert isinstance(data.matrix, np.ndarray)
+    return data
 
 
 class TestLogistic:
+    """The logistic kernels on the storage ``storage`` names."""
+
+    storage = "dense"
+
+    def small(self, **kw):
+        return small_logistic(storage=self.storage, **kw)
+
     def test_loss_at_zero_is_log_two(self):
-        prob = small_logistic()
+        prob = self.small()
         assert prob.f_value(np.zeros(prob.d)) == pytest.approx(np.log(2.0))
 
     def test_gradient_at_zero(self):
-        prob = small_logistic()
+        prob = self.small()
         X = prob.data.dense()
         expected = -(prob.y @ X) / (2.0 * prob.n)
         np.testing.assert_allclose(prob.full_grad(np.zeros(prob.d)), expected,
                                    rtol=1e-12)
 
     def test_grad_sample_matches_finite_differences(self):
-        prob = small_logistic()
+        prob = self.small()
         rng = rng_of(2)
         for _ in range(10):
             i = int(rng.integers(0, prob.n))
@@ -60,13 +78,13 @@ class TestLogistic:
             assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))) < 1e-6
 
     def test_full_grad_is_mean_of_samples(self):
-        prob = small_logistic(n=15)
+        prob = self.small(n=15)
         x = rng_of(3).normal(size=prob.d)
         mean = np.mean([grad_sample(prob, i, x) for i in range(prob.n)], axis=0)
         np.testing.assert_allclose(prob.full_grad(x), mean, atol=1e-13)
 
     def test_grad_batch_is_batch_mean(self):
-        prob = small_logistic()
+        prob = self.small()
         rng = rng_of(4)
         x = rng.normal(size=prob.d)
         idx = rng.integers(0, prob.n, size=6)
@@ -74,13 +92,13 @@ class TestLogistic:
         np.testing.assert_allclose(prob.grad_batch(idx, x), mean, atol=1e-13)
 
     def test_sample_unbiasedness_by_enumeration(self):
-        prob = small_logistic(n=12)
+        prob = self.small(n=12)
         x = rng_of(5).normal(size=prob.d)
         enumerated = sum(grad_sample(prob, i, x) for i in range(prob.n)) / prob.n
         np.testing.assert_allclose(enumerated, prob.full_grad(x), atol=1e-13)
 
     def test_smoothness_bound_holds(self):
-        prob = small_logistic()
+        prob = self.small()
         rng = rng_of(6)
         L = prob.smoothness
         for _ in range(100):
@@ -90,7 +108,7 @@ class TestLogistic:
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-9)
 
     def test_prox_is_soft_threshold(self):
-        prob = small_logistic(lambda1=0.5)
+        prob = self.small(lambda1=0.5)
         v = np.array([3.0, -0.3, 0.0, 1.0, -4.0, 0.2, 0.6])
         got = prob.prox(2.0, v)  # eta*lambda1 = 1
         np.testing.assert_allclose(got, soft_threshold(v, 1.0))
@@ -99,7 +117,7 @@ class TestLogistic:
     def test_prox_matches_bruteforce_minimizer(self):
         rng = rng_of(7)
         for lam1, box in [(0.3, None), (0.0, None), (0.7, 0.5)]:
-            data = synth_dataset(10, 3, 8)
+            data = stored_as(self.storage, synth_dataset(10, 3, 8))
             prob = logistic_problem(data, lam1, 1e-4, box_radius=box)
             for _ in range(20):
                 v = rng.normal(size=3) * 2.0
@@ -111,21 +129,21 @@ class TestLogistic:
                 )
 
     def test_rejects_non_binary_labels(self):
-        data = synth_multiclass_dataset(20, 4, 3, 0)
+        data = stored_as(self.storage, synth_multiclass_dataset(20, 4, 3, 0))
         with pytest.raises(ValueError, match="binary"):
             logistic_problem(data, 0.0, 0.0)
 
     def test_accepts_zero_one_labels(self):
         data = synth_dataset(20, 4, 0)
-        data01 = Dataset.from_dense(data.dense(),
-                                    (data.labels > 0).astype(float))
+        data01 = stored_as(self.storage, Dataset.from_dense(
+            data.dense(), (data.labels > 0).astype(float)))
         prob = logistic_problem(data01, 0.0, 0.0)
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
 
     def test_objective_and_full_grad_share_one_product(self, monkeypatch):
         # the bits of objective and, up to the shared pass's rounding, of
         # full_grad, from one A @ x and one A.T @ w
-        prob = small_logistic()
+        prob = self.small()
         rng = rng_of(12)
         x = rng.normal(size=prob.d)
         state = {k: id(v) for k, v in vars(prob.data).items()}
@@ -151,15 +169,12 @@ class TestLogistic:
 
 
 class TestLogisticCSR(TestLogistic):
-    """Every TestLogistic case again with the dense limit at 0, so the
-    logistic kernels run on CSR storage."""
+    """Every TestLogistic case again on CSR storage."""
 
-    @pytest.fixture(autouse=True)
-    def csr_storage(self, monkeypatch):
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+    storage = "csr"
 
 
-def test_dense_and_csr_storage_agree(monkeypatch):
+def test_dense_and_csr_storage_agree():
     rng = rng_of(11)
     n, d = 30, 9
     X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.3)
@@ -170,22 +185,21 @@ def test_dense_and_csr_storage_agree(monkeypatch):
     x = rng.normal(size=d)
     batch = np.array([7, 4, 7, 0, 29, 13])
 
-    def kernels():
-        # a new dataset each time: storage is chosen at construction
-        prob = logistic_problem(Dataset(indptr, cols, X[rows, cols], labels, d),
-                                0.01, 0.001)
+    def kernels(data):
+        prob = logistic_problem(data, 0.01, 0.001)
         return (prob.f_value(x), prob.grad_batch(batch, x),
                 prob.grad_range_sum(3, 21, x))
 
-    dense = kernels()
-    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-    csr = kernels()
+    csr_data = Dataset(indptr, cols, X[rows, cols], labels, d)
+    assert not isinstance(csr_data.matrix, np.ndarray)
+    dense = kernels(stored_as("dense", csr_data))
+    csr = kernels(csr_data)
     assert csr[0] == pytest.approx(dense[0], rel=1e-12)
     for got, want in zip(csr[1:], dense[1:]):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_csr_products_match_bincount_reference(monkeypatch):
+def test_csr_products_match_bincount_reference():
     # scipy's csr_matvec and csc_matvec sum in the order of the weighted
     # bincount, so every product keeps its bits; about 90 entries a column
     # make any other order show
@@ -201,7 +215,6 @@ def test_csr_products_match_bincount_reference(monkeypatch):
     rows, cols = np.insert(rows, at, 40), np.insert(cols, at, 9)
     vals = np.insert(vals, at, 0.75)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
     data = Dataset(indptr, cols, vals, np.ones(n), d)
     assert data._dense is None
     batch = np.array([40, 17, 3, 40, 299, 0, 17])
@@ -223,8 +236,7 @@ def test_csr_metric_block_keeps_per_iterate_product_bits(width, monkeypatch):
     # on CSR each column of the block's A @ X and A.T @ W has the bits of
     # the per-iterate A @ x and A.T @ w (csr_matvec, csc_matvec), and the
     # transposed product takes only the columns that have an eta
-    monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-    prob = logistic_problem(synth_dataset(300, 40, 9), 1e-3, 1e-3)
+    prob = logistic_problem(as_csr(synth_dataset(300, 40, 9)), 1e-3, 1e-3)
     dot, tdot = Dataset.dot, Dataset.tdot
     products = []
     for inner in (dot, tdot):
@@ -254,7 +266,6 @@ def test_scipy_is_imported_only_for_csr_storage():
 import sys, tempfile
 import numpy as np
 import dqsim
-from dqsim import problems
 from dqsim.harness import parse_config, run_experiment
 from dqsim.problems import Dataset
 with tempfile.TemporaryDirectory() as out:
@@ -266,8 +277,7 @@ with tempfile.TemporaryDirectory() as out:
         "workers": {"count": 2},
         "run": {"out_dir": out, "loss_target": None}}))
 assert "scipy" not in sys.modules, "dense run imported scipy"
-problems._DENSE_CACHE_LIMIT = 0
-Dataset.from_dense(np.eye(3), np.ones(3))
+Dataset([0, 1, 2, 3], [0, 1, 2], np.ones(3), np.ones(3), 3)
 assert "scipy" in sys.modules, "CSR storage did not import scipy"
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -277,16 +287,18 @@ assert "scipy" in sys.modules, "CSR storage did not import scipy"
 
 
 @pytest.fixture(params=["dense", "csr"])
-def storage(request, monkeypatch):
-    """Run a test once per storage; a Dataset picks it when built."""
-    if request.param == "csr":
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
+def storage(request):
+    """Run a test once per storage; it builds its datasets with
+    ``stored_as(storage, ...)``."""
+    return request.param
 
 
 def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
+    # CSR storage keeps both entries; a dense dataset of the same input
+    # holds the matrix they describe
     path = tmp_path / "twice.txt"
     path.write_text("1 3:1 3:2\n-1 1:5\n")
-    data = load_libsvm(path)
+    data = stored_as(storage, load_libsvm(path))
     np.testing.assert_array_equal(data.dense(), [[0.0, 0.0, 3.0],
                                                  [5.0, 0.0, 0.0]])
     np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
@@ -295,7 +307,7 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
     # the caller's arrays stay as given
     indices, values = np.array([2, 2, 0]), np.array([1.0, 2.0, 5.0])
-    data = Dataset([0, 2, 3], indices, values, [1.0, -1.0], 3)
+    data = stored_as(storage, Dataset([0, 2, 3], indices, values, [1.0, -1.0], 3))
     np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
     np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
     np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 3.0])
@@ -305,7 +317,7 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
 
 def test_index_batch_takes_a_vector_and_cols_a_sliced_block(storage):
     X = np.arange(12.0).reshape(4, 3)
-    data = Dataset.from_dense(X, np.ones(4))
+    data = stored_as(storage, Dataset.from_dense(X, np.ones(4)))
     batch = np.array([2, 0, 2])
     np.testing.assert_array_equal(data.dot(np.ones(3), batch), [21.0, 3.0, 21.0])
     np.testing.assert_array_equal(data.tdot(np.ones(3), batch), [12.0, 15.0, 18.0])
@@ -331,7 +343,7 @@ def test_row_norms_sum_each_row_in_column_order(storage):
         for v in row:
             total += float(v) * float(v)
         want.append(total)
-    got = Dataset.from_dense(X, np.ones(20)).row_norms_sq()
+    got = stored_as(storage, Dataset.from_dense(X, np.ones(20))).row_norms_sq()
     assert np.array_equal(got, want)
 
 
@@ -346,8 +358,9 @@ def test_row_norms_sum_each_row_in_column_order(storage):
         "indptr_short"])
 def test_malformed_csr_is_rejected_on_both_storages(storage, indptr, indices,
                                                     values, fault):
+    # CSR arrays are checked before a dataset of either storage is made
     with pytest.raises(ValueError, match=fault):
-        Dataset(indptr, indices, values, np.ones(2), 2)
+        stored_as(storage, Dataset(indptr, indices, values, np.ones(2), 2))
 
 
 def test_dense_storage_holds_the_matrix_and_labels_only():
@@ -359,6 +372,19 @@ def test_dense_storage_holds_the_matrix_and_labels_only():
     assert not any(hasattr(data, k) for k in ("indptr", "indices", "values"))
     X = rng_of(14).normal(size=(30, 5))
     assert Dataset.from_dense(X, np.ones(30)).dense() is X
+
+
+def test_storage_follows_the_input(tmp_path):
+    # no size picks the storage: CSR arrays stay CSR however small, and a
+    # dense array is stored as itself
+    from scipy.sparse import csr_array
+
+    path = tmp_path / "tiny.txt"
+    path.write_text("1 1:0.5 2:1\n-1 2:2\n0 3:-1\n")
+    data = load_libsvm(path)
+    assert isinstance(data.matrix, csr_array)
+    X = rng_of(17).normal(size=(30, 5))
+    assert Dataset.from_dense(X, np.ones(30)).matrix is X
 
 
 class _Quad1D(CompositeProblem):
@@ -469,8 +495,7 @@ class TestLibsvm:
         path.write_text("1 2:1.0\n")
         assert load_libsvm(path, d=10).d == 10
 
-    def test_blank_lines_labels_and_explicit_dimension(self, tmp_path,
-                                                       monkeypatch):
+    def test_blank_lines_labels_and_explicit_dimension(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("\n1 2:0.5 4:-1.25\n\n0 1:3\n  \n-0.5 \n"
                         "2.75 3:1e-3 1:2\n\n")
@@ -482,12 +507,7 @@ class TestLibsvm:
         labels = np.array([1.0, 0.0, -0.5, 2.75])
         data = load_libsvm(path, d=6)
         assert data.n == 4 and data.d == 6
-        for got, want in ((data.labels, labels), (data.dense(), matrix)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
         # CSR storage keeps the entries as read
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-        data = load_libsvm(path, d=6)
         for got, want in (
                 (data.labels, labels),
                 (data.indptr, np.array([0, 2, 3, 3, 5], dtype=np.int64)),
@@ -504,7 +524,7 @@ class TestLibsvm:
             load_libsvm(path)
         assert load_libsvm(path, d=3).dense().shape == (2, 3)
 
-    def test_roundtrip_exact_at_single_precision(self, tmp_path, monkeypatch):
+    def test_roundtrip_exact_at_single_precision(self, tmp_path):
         rng = rng_of(10)
         n, d = 25, 12
         rows = []
@@ -518,9 +538,9 @@ class TestLibsvm:
             indptr.append(len(indices))
         labels = rng.choice([-1.0, 1.0], size=n)
         path = tmp_path / "rt.txt"
-        for limit in (problems._DENSE_CACHE_LIMIT, 0):
-            monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", limit)
-            data = Dataset(indptr, indices, values, labels, d)
+        for storage in ("dense", "csr"):
+            data = stored_as(storage,
+                             Dataset(indptr, indices, values, labels, d))
             write_libsvm(path, data)
             back = load_libsvm(path, d=d)
             np.testing.assert_array_equal(back.labels, data.labels)
@@ -612,20 +632,19 @@ class TestMLP:
         with pytest.raises(ValueError, match="range"):
             mlp_problem(data, hidden=4, num_classes=2)
 
-    def test_csr_storage_keeps_no_dense_copy(self, monkeypatch):
+    def test_csr_storage_keeps_no_dense_copy(self):
         # the MLP reads the matrix the dataset stores; on CSR storage no
         # n x d array is held, and the kernels agree with dense storage
-        def kernels():
-            data = synth_multiclass_dataset(40, 7, 3, 5)
+        def kernels(storage):
+            data = stored_as(storage, synth_multiclass_dataset(40, 7, 3, 5))
             prob = mlp_problem(data, hidden=5, lambda2=1e-3, init_seed=2)
             x = prob.initial_point()
             batch = np.array([3, 17, 3, 39, 0, 17])
             return prob, (prob.f_value(x), prob.grad_batch(batch, x),
                           prob.grad_range_sum(5, 31, x))
 
-        dense_prob, dense = kernels()
-        monkeypatch.setattr(problems, "_DENSE_CACHE_LIMIT", 0)
-        prob, csr = kernels()
+        dense_prob, dense = kernels("dense")
+        prob, csr = kernels("csr")
         assert isinstance(dense_prob._X, np.ndarray)
         held = [v for owner in (prob, prob.data) for v in vars(owner).values()]
         assert not any(isinstance(v, np.ndarray) and v.shape == (40, 7)
