@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     if args.command == "mu-trace":
         widths = [int(v) for v in args.widths.split(",") if v]
         out_path = None
-        out_dir = config.run.get("out_dir")
+        out_dir = config.run.out_dir
         if out_dir:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             out_path = str(Path(out_dir) / "mu_trace.csv")

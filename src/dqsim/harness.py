@@ -20,7 +20,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,10 +41,13 @@ from .simnet import (
     GeometricLatency,
     UniformLatency,
     WorkerSpec,
+    check_field_types,
 )
 
 __all__ = [
     "ExperimentConfig",
+    "ProblemConfig",
+    "RunConfig",
     "RunReport",
     "load_config",
     "parse_config",
@@ -56,46 +59,83 @@ __all__ = [
     "compare_suite",
 ]
 
-_PROBLEM_DEFAULTS = {
-    "kind": "synth_logistic",
-    "n": 1000,
-    "d": 50,
-    "seed": 0,
-    "flip_prob": 0.0,
-    "lambda1": 1e-5,
-    "lambda2": 1e-4,
-    "path": None,
-    "hidden": 100,
-    "classes": 10,
-    "box_radius": None,
-}
 
-# the algo section is AlgoConfig's fields, with JSON values for the defaults
-_ALGO_DEFAULTS = json.loads(json.dumps(
-    {f.name: f.default for f in fields(AlgoConfig)}))
+@dataclass(frozen=True)
+class ProblemConfig:
+    """The ``problem`` section. One class serves every kind: a kind ignores
+    the fields it does not read, such as ``path`` on a synthetic kind."""
 
-_WORKER_DEFAULTS = {"count": 1, "latency": {"kind": "fixed", "ticks": 1}}
+    kind: str = "synth_logistic"  # or "libsvm_logistic" or "synth_mlp"
+    n: int = 1000
+    d: int = 50
+    seed: int = 0
+    flip_prob: float = 0.0
+    lambda1: float = 1e-5
+    lambda2: float = 1e-4
+    path: Optional[str] = None  # the libsvm file
+    hidden: int = 100
+    classes: int = 10
+    box_radius: Optional[float] = None
 
-_RUN_DEFAULTS = {
-    "out_dir": None,
-    "seed": None,  # overrides algo.seed when set
-    "loss_target": "auto",  # number, "auto", or None to skip
-    "oracle_iters": 2000,
-}
+    def __post_init__(self):
+        check_field_types(self)
+        if self.kind not in ("synth_logistic", "libsvm_logistic", "synth_mlp"):
+            raise ValueError(f"unknown problem kind {self.kind!r}")
+        for name in ("lambda1", "lambda2"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"problem.{name} must be >= 0, "
+                                 f"got {getattr(self, name)!r}")
+        if not 0 <= self.flip_prob <= 1:
+            raise ValueError("problem.flip_prob must be in [0, 1], "
+                             f"got {self.flip_prob!r}")
+        if self.box_radius is not None and not self.box_radius > 0:
+            raise ValueError("problem.box_radius must be > 0 when set, "
+                             f"got {self.box_radius!r}")
+        if self.kind == "libsvm_logistic" and not (
+                self.path and Path(self.path).exists()):
+            raise ValueError(f"dataset path does not exist: {self.path!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
+class RunConfig:
+    """The ``run`` section: output directory, seed override and loss target."""
+
+    out_dir: Optional[str] = None
+    seed: Optional[int] = None  # overrides algo.seed when set
+    loss_target: float | str | None = "auto"  # number, "auto", or None to skip
+    oracle_iters: int = 2000
+
+    def __post_init__(self):
+        check_field_types(self)
+        target = self.loss_target
+        if target not in (None, "auto") and (
+                isinstance(target, bool) or not isinstance(target, (int, float))
+                or not math.isfinite(target)):
+            raise ValueError("run.loss_target must be a finite number, 'auto', "
+                             f"or null; got {target!r}")
+        if self.oracle_iters < 0:
+            raise ValueError(f"run.oracle_iters must be >= 0, got {self.oracle_iters!r}")
+
+
+_FIXED_ONE_TICK = {"kind": "fixed", "ticks": 1}
+
+
+def _workers_section(count=1, latency=_FIXED_ONE_TICK) -> dict:
+    return {"count": count, "latency": copy.deepcopy(latency)}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    problem: dict
-    algo: dict
+    problem: ProblemConfig
+    algo: dict  # the JSON form of the section's AlgoConfig
     workers: dict
-    run: dict
+    run: RunConfig
 
     def to_dict(self) -> dict:
         return asdict(self)  # a deep copy
 
     def algo_config(self) -> AlgoConfig:
-        config, seed = AlgoConfig(**self.algo), self.run["seed"]
+        config, seed = AlgoConfig(**self.algo), self.run.seed
         return config if seed is None else replace(config, seed=seed)
 
 
@@ -124,49 +164,29 @@ class RunReport:
         return asdict(self)
 
 
-def _merge(defaults: dict, given: Optional[dict], section: str) -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in (given or {}).items():
-        if key not in defaults:
-            raise ValueError(f"unknown key {key!r} in config section {section!r}")
-        out[key] = value
-    return out
+def _section(cls, raw: Optional[dict], name: str):
+    """Config section ``name``: ``cls`` built from the given keys and defaults."""
+    try:
+        return cls(**(raw or {}))
+    except TypeError as exc:  # a key that ``cls`` does not take
+        raise ValueError(f"unknown key in config section {name!r}: {exc}") from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Materialize all defaults; unknown keys are errors (validated before
     any compute)."""
-    known = {"problem", "algo", "workers", "run"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"problem", "algo", "workers", "run"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        problem=_merge(_PROBLEM_DEFAULTS, raw.get("problem"), "problem"),
-        algo=_merge(_ALGO_DEFAULTS, raw.get("algo"), "algo"),
-        workers=_merge(_WORKER_DEFAULTS, raw.get("workers"), "workers"),
-        run=_merge(_RUN_DEFAULTS, raw.get("run"), "run"),
-    )
-    cfg.algo_config()  # validate eagerly
-    build_workers(cfg.workers)
-    kind = cfg.problem["kind"]
-    if kind not in ("synth_logistic", "libsvm_logistic", "synth_mlp"):
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if kind == "synth_mlp" and cfg.algo["eta_mode"] == "theory":
+    problem = _section(ProblemConfig, raw.get("problem"), "problem")
+    algo = _section(AlgoConfig, raw.get("algo"), "algo")
+    workers = _section(_workers_section, raw.get("workers"), "workers")
+    build_workers(workers)
+    if problem.kind == "synth_mlp" and algo.eta_mode == "theory":
         raise ValueError("algo.eta_mode 'theory' needs a smoothness estimate, "
                          "which problem kind 'synth_mlp' lacks")
-    target = cfg.run["loss_target"]
-    if target not in (None, "auto") and (
-            isinstance(target, bool) or not isinstance(target, (int, float))):
-        raise ValueError("run.loss_target must be a number, 'auto', or null; "
-                         f"got {target!r}")
-    iters = cfg.run["oracle_iters"]
-    if not isinstance(iters, int) or isinstance(iters, bool) or iters < 0:
-        raise ValueError(f"run.oracle_iters must be an integer >= 0; got {iters!r}")
-    if kind == "libsvm_logistic":
-        path = cfg.problem["path"]
-        if not path or not Path(path).exists():
-            raise ValueError(f"dataset path does not exist: {path!r}")
-    return cfg
+    return ExperimentConfig(problem, json.loads(json.dumps(asdict(algo))),
+                            workers, _section(RunConfig, raw.get("run"), "run"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -174,22 +194,17 @@ def load_config(path) -> ExperimentConfig:
         return parse_config(json.load(fh))
 
 
-def build_problem(pcfg: dict) -> CompositeProblem:
-    kind = pcfg["kind"]
-    if kind == "synth_mlp":
-        data = synth_multiclass_dataset(pcfg["n"], pcfg["d"], pcfg["classes"],
-                                        pcfg["seed"])
-        return mlp_problem(data, hidden=pcfg["hidden"], lambda2=pcfg["lambda2"],
-                           init_seed=pcfg["seed"])
-    if kind == "synth_logistic":
-        data = synth_dataset(pcfg["n"], pcfg["d"], pcfg["seed"],
-                             flip_prob=pcfg["flip_prob"])
-    elif kind == "libsvm_logistic":
-        data = load_libsvm(pcfg["path"])
+def build_problem(pcfg: ProblemConfig) -> CompositeProblem:
+    if pcfg.kind == "synth_mlp":
+        data = synth_multiclass_dataset(pcfg.n, pcfg.d, pcfg.classes, pcfg.seed)
+        return mlp_problem(data, hidden=pcfg.hidden, lambda2=pcfg.lambda2,
+                           init_seed=pcfg.seed)
+    if pcfg.kind == "synth_logistic":
+        data = synth_dataset(pcfg.n, pcfg.d, pcfg.seed, flip_prob=pcfg.flip_prob)
     else:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    return logistic_problem(data, pcfg["lambda1"], pcfg["lambda2"],
-                            box_radius=pcfg["box_radius"])
+        data = load_libsvm(pcfg.path)
+    return logistic_problem(data, pcfg.lambda1, pcfg.lambda2,
+                            box_radius=pcfg.box_radius)
 
 
 _LATENCY_KINDS = {"fixed": FixedLatency, "uniform": UniformLatency,
@@ -249,10 +264,10 @@ def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
 def resolve_loss_target(config: ExperimentConfig,
                         problem: CompositeProblem) -> Optional[float]:
     """Absolute target, or best-known full-precision loss plus 10% of the
-    initial gap when set to "auto"; ``parse_config`` checked the value."""
-    target = config.run["loss_target"]
+    initial gap when set to "auto"; ``RunConfig`` checked the value."""
+    target = config.run.loss_target
     if target == "auto":
-        best = oracle_best_loss(problem, config.run["oracle_iters"])
+        best = oracle_best_loss(problem, config.run.oracle_iters)
         start = problem.objective(problem.initial_point())
         return best + 0.1 * (start - best)
     return None if target is None else float(target)
@@ -325,7 +340,7 @@ def run_experiment(config: ExperimentConfig,
     crossing = _first_crossing(result.metrics, loss_target) \
         if loss_target is not None else None
 
-    out_dir = config.run.get("out_dir")
+    out_dir = config.run.out_dir
     metrics_csv = ledger_csv = trace_csv = None
     if out_dir:
         out = Path(out_dir)

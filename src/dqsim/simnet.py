@@ -52,8 +52,9 @@ __all__ = [
 
 # The values a config dataclass field of each annotation takes; a bool is
 # an int to Python, so it passes only where the annotation is bool.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real,
-                "Optional[float]": (numbers.Real, type(None)), "bool": bool}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+_FIELD_TYPES |= {f"Optional[{k}]": (v, type(None)) for k, v in _FIELD_TYPES.items()}
+_FIELD_TYPES["bool"] = bool
 
 
 def check_field_types(config) -> None:

@@ -4,12 +4,16 @@ Each case runs ``run_experiment`` on a tiny config and pins the sha256 of
 ``metrics.csv``, ``ledger.csv`` and ``trace.csv`` with ``total_bits`` and
 ``repr(final_loss)``. A change to the simulated arithmetic, a random draw, a
 message width or the CSV format moves a digest; a refactor that keeps them
-all has kept the behaviour. After an intentional change, print the new table
-with ``python tests/test_golden.py``, paste it over ``GOLDEN`` and say why
-in the change log.
+all has kept the behaviour. Each case also pins the sha256 of its whole
+materialized config, ``json.dumps(parse_config(raw).to_dict())``, so a
+refactor of the config path keeps every section and default byte for byte.
+After an intentional change, print the new tables with
+``python tests/test_golden.py``, paste them over ``GOLDEN`` and
+``CONFIG_DIGESTS`` and say why in the change log.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -111,6 +115,20 @@ GOLDEN = {
     ),
 }
 
+# case: sha256 of json.dumps(parse_config(raw).to_dict()), with the
+# temporary directory that holds the libsvm file and the outputs as "<tmp>"
+CONFIG_DIGESTS = {
+    'acc_asyfpg': '507a4b4a34cabd4cf2b2f279da12b13b1049dc04fc1fd6429ff953036902de3c',
+    'acc_asylpg': 'bf060b6c59b4c3c04b0b0eef8dfcd074adce6bdc36a86d570f7c6a2a64f36658',
+    'asyfpg': '130fbd9cb8851e0f251dbb092a519a477a22a8f931cfc095cf5d1edfbb7f67f4',
+    'asylpg': 'e90474006720e9b5fddc2e3f0140df0f53a28dba3ce9189b4e1e5e54c89016fe',
+    'asylpg_theory': '402d7eeb847c8b756a8164cc5a00515647fbf82e09214d32b57140e09cafee6e',
+    'libsvm_csr': '10099aed9cae7356ad10c6692131736e96715952859a84be4c023e3c2d46ea62',
+    'mlp': '16e48a3ebabe4a02a2fa6d31e49a3bf89c96a1bf2c57096e2038305a0584ecd2',
+    'qsvrg': '8bec447a1975075c1dd9cf911d2da756959a327645feaeed46f92f685269f052',
+    'sparse_asylpg': '5334fc4fdd55b9d180fbf8839f52255225b67620ba66c52931ff351dad9e77df',
+}
+
 
 def _write_sparse_libsvm(path) -> None:
     """A 200 x 30 dataset at about 30% density, exact through the text
@@ -137,11 +155,19 @@ def _problem_section(name: str, tmp_path: Path) -> dict:
     return {**problem, "path": str(path)}
 
 
+def _raw_config(name: str, tmp_path: Path) -> dict:
+    return {**CASES[name], "problem": _problem_section(name, tmp_path),
+            "workers": _WORKERS,
+            "run": {"out_dir": str(tmp_path / name), "loss_target": None}}
+
+
 def fingerprint(name: str, tmp_path: Path) -> tuple:
-    return _fingerprint_of(
-        {**CASES[name], "problem": _problem_section(name, tmp_path),
-         "workers": _WORKERS,
-         "run": {"out_dir": str(tmp_path / name), "loss_target": None}})
+    return _fingerprint_of(_raw_config(name, tmp_path))
+
+
+def config_digest(name: str, tmp_path: Path) -> str:
+    text = json.dumps(parse_config(_raw_config(name, tmp_path)).to_dict())
+    return hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
 
 
 def _fingerprint_of(raw: dict) -> tuple:
@@ -156,6 +182,11 @@ def _fingerprint_of(raw: dict) -> tuple:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_fingerprint(name, tmp_path):
     assert fingerprint(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_config_fingerprint(name, tmp_path):
+    assert config_digest(name, tmp_path) == CONFIG_DIGESTS[name]
 
 
 def _threads_and_simulated(algo: str, tmp_path: Path,
@@ -207,4 +238,8 @@ if __name__ == "__main__":
             for value in fingerprint(name, Path(tmp)):
                 print(f"        {value!r},")
             print("    ),")
+        print("}")
+        print("CONFIG_DIGESTS = {")
+        for name in sorted(CASES):
+            print(f"    {name!r}: {config_digest(name, Path(tmp))!r},")
         print("}")

@@ -8,6 +8,8 @@ import pytest
 
 from dqsim import harness
 from dqsim.harness import (
+    ProblemConfig,
+    RunConfig,
     build_problem,
     build_workers,
     compare_suite,
@@ -73,8 +75,8 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problem": {"n": 123}}))
         cfg = load_config(path)
-        assert cfg.problem["n"] == 123
-        assert cfg.problem["lambda2"] == 1e-4  # default materialized
+        assert cfg.problem.n == 123
+        assert cfg.problem.lambda2 == 1e-4  # default materialized
         assert cfg.algo["b_x"] == 8
         # serialize -> parse is identical once defaults are in place
         again = parse_config(cfg.to_dict())
@@ -106,6 +108,39 @@ class TestConfig:
             "track_grad_mapping": True, "execution": "simulated"})
         assert AlgoConfig(mu_probe_widths=[8, 4]).mu_probe_widths == (8, 4)
         assert AlgoConfig(mu_probe_widths=None).mu_probe_widths == ()
+
+    def test_problem_and_run_sections_are_their_configs(self):
+        config = parse_config({})
+        assert config.problem == ProblemConfig() and config.run == RunConfig()
+        materialized = config.to_dict()
+        assert json.dumps(materialized["problem"]) == json.dumps({
+            "kind": "synth_logistic", "n": 1000, "d": 50, "seed": 0,
+            "flip_prob": 0.0, "lambda1": 1e-5, "lambda2": 1e-4, "path": None,
+            "hidden": 100, "classes": 10, "box_radius": None})
+        assert json.dumps(materialized["run"]) == json.dumps({
+            "out_dir": None, "seed": None, "loss_target": "auto",
+            "oracle_iters": 2000})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("problem", "n", 60.5), ("problem", "n", True),
+        ("problem", "lambda1", "0.1"), ("problem", "hidden", "a"),
+        ("problem", "box_radius", "1"), ("problem", "path", 5),
+        ("problem", "lambda1", -1e-5), ("problem", "lambda2", -1.0),
+        ("problem", "flip_prob", 2.0), ("problem", "flip_prob", -0.1),
+        ("problem", "box_radius", 0.0), ("problem", "box_radius", -1.0),
+        ("run", "out_dir", 5), ("run", "loss_target", math.nan),
+        ("run", "loss_target", math.inf), ("run", "loss_target", -math.inf),
+    ])
+    def test_bad_problem_and_run_values_rejected_at_parse(self, section, key,
+                                                          value, monkeypatch):
+        # a wrong type or an out-of-range value fails where the config is
+        # read, naming its field, before any problem is built
+        def refuse(*args):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(harness, "build_problem", refuse)
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            parse_config({section: {key: value}})
 
     @pytest.mark.parametrize("run, key", [
         ({"loss_target": "autoo"}, "run.loss_target"),
@@ -426,7 +461,8 @@ class TestCompareSuite:
 
     def test_mismatched_problems_rejected(self):
         configs = self.make_configs(["asyfpg", "asylpg"])
-        configs[1].problem["n"] = 999
+        configs[1] = dataclasses.replace(
+            configs[1], problem=dataclasses.replace(configs[1].problem, n=999))
         with pytest.raises(ValueError, match="share"):
             compare_suite(configs)
 
