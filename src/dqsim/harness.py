@@ -20,7 +20,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -63,7 +63,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ProblemConfig:
     """The ``problem`` section. One class serves every kind: a kind ignores
-    the fields it does not read, such as ``path`` on a synthetic kind."""
+    the fields it does not read, such as ``path`` on a synthetic kind. The
+    sizes and the seed are range-checked on every kind."""
 
     kind: str = "synth_logistic"  # or "libsvm_logistic" or "synth_mlp"
     n: int = 1000
@@ -81,6 +82,11 @@ class ProblemConfig:
         check_field_types(self)
         if self.kind not in ("synth_logistic", "libsvm_logistic", "synth_mlp"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        for name, least in (("n", 1), ("d", 1), ("seed", 0), ("hidden", 1),
+                            ("classes", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"problem.{name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
         for name in ("lambda1", "lambda2"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"problem.{name} must be >= 0, "
@@ -115,6 +121,8 @@ class RunConfig:
                              f"or null; got {target!r}")
         if self.oracle_iters < 0:
             raise ValueError(f"run.oracle_iters must be >= 0, got {self.oracle_iters!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"run.seed must be >= 0 when set, got {self.seed!r}")
 
 
 _FIXED_ONE_TICK = {"kind": "fixed", "ticks": 1}
@@ -161,7 +169,9 @@ class RunReport:
     output_vector: list[float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, not copied: ``asdict`` would copy
+        ``output_vector``, d floats, value by value."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _section(cls, raw: Optional[dict], name: str):

@@ -145,6 +145,8 @@ class AlgoConfig:
             raise ValueError("sigma must exceed 1 for the momentum variant")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.phi is not None and self.phi <= 0:
             raise ValueError("phi must be positive when given")
         if self.metric_every < 1:
@@ -522,9 +524,7 @@ def run_training(
         msg, diag = dispatch
         batch = rng_of[worker_id].integers(0, problem.n, size=cfg.batch_size)
         model = _decode(msg, snapshot)
-        alpha = problem.grad_batch(batch, model) - problem.grad_batch(
-            batch, snapshot
-        )
+        alpha = problem.grad_batch_diff(batch, model, snapshot)
         return gradient_message(alpha, cfg, crng_of[worker_id]), diag
 
     def on_arrival(clock: int, worker_id: int, reply):

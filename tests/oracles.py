@@ -101,6 +101,28 @@ def csr_tdot(data, w: np.ndarray, rows=slice(None)) -> np.ndarray:
     return np.bincount(cols, weights=vals * w[row_ids], minlength=data.d)
 
 
+def loss_and_grads_by_columns(problem, X: np.ndarray, grad_cols: list[int]):
+    """``LogisticProblem.loss_and_grads`` with the margin pass on the strided
+    columns of the C-ordered n x K product ``A @ X``: the per-column
+    operations, in their order, that its pass on contiguous rows keeps bit
+    for bit. The products are the program's; only the pass is checked."""
+    G = problem.data.dot(X)
+    fs = []
+    for j in range(X.shape[1]):
+        margins = problem.y * G[:, j]
+        soft = np.log1p(np.exp(-np.abs(margins)))
+        x = X[:, j]
+        fs.append(float(np.mean(np.maximum(-margins, 0.0) + soft))
+                  + 0.5 * problem.lambda2 * float(x @ x))
+        G[:, j] = -problem.y * np.exp(-(np.maximum(margins, 0.0) + soft))
+    losses = [f + problem.h_value(X[:, j]) for j, f in enumerate(fs)]
+    if not grad_cols:
+        return losses, np.empty((problem.d, 0))
+    every = len(grad_cols) == X.shape[1]
+    S = problem.data.tdot(G, cols=None if every else grad_cols)
+    return losses, (S + problem.n * problem.lambda2 * X[:, grad_cols]) / problem.n
+
+
 def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
                        box: float | None = None, tol: float = 1e-10) -> float:
     """Ternary search for argmin_y lambda1*|y| + (y - value)^2 / (2 eta).

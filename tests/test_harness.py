@@ -142,6 +142,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             parse_config({section: {key: value}})
 
+    @pytest.mark.parametrize("section, values, key", [
+        ("problem", {"n": 0}, "n"), ("problem", {"n": -5}, "n"),
+        ("problem", {"d": 0}, "d"), ("problem", {"seed": -1}, "seed"),
+        ("problem", {"kind": "synth_mlp", "hidden": 0}, "hidden"),
+        ("problem", {"kind": "synth_mlp", "classes": 1}, "classes"),
+        ("algo", {"seed": -1}, "seed"), ("run", {"seed": -1}, "seed"),
+    ])
+    def test_out_of_range_sizes_and_seeds_rejected_at_parse(
+            self, section, values, key, monkeypatch):
+        # each failed only at build or mid-run, or (hidden 0) ran to the end
+        def refuse(*args):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(harness, "build_problem", refuse)
+        with pytest.raises(ValueError, match=rf"\b{key} must be >= "):
+            parse_config({section: values})
+
     @pytest.mark.parametrize("run, key", [
         ({"loss_target": "autoo"}, "run.loss_target"),
         ({"loss_target": True}, "run.loss_target"),

@@ -20,7 +20,7 @@ from dqsim.problems import (
 )
 
 from oracles import (as_csr, csr_dot, csr_tdot, finite_diff_grad, grad_sample,
-                     prox_bruteforce)
+                     loss_and_grads_by_columns, prox_bruteforce)
 
 
 def rng_of(seed=0):
@@ -363,6 +363,48 @@ def test_malformed_csr_is_rejected_on_both_storages(storage, indptr, indices,
         stored_as(storage, Dataset(indptr, indices, values, np.ones(2), 2))
 
 
+@pytest.mark.parametrize("n", [1, 1023, 1025, 2500])
+def test_margin_pass_on_rows_keeps_the_column_bits(storage, n):
+    # the pass on the transposed product gives the losses and gradients of
+    # the pass on its strided columns, bit for bit, at row counts off the
+    # transpose's slice size and with or without loss-only columns
+    prob = small_logistic(n=n, d=20, seed=4, storage=storage)
+    rng = rng_of(18)
+    X = rng.normal(size=(prob.d, 32))
+    X[:, 1] *= 30.0  # margins far out on both sides
+    for k in (1, 2, 32):
+        for cols in (list(range(1, k, 2)),
+                     list(range(k))):
+            losses, grads = prob.loss_and_grads(X[:, :k], cols)
+            want_losses, want_grads = loss_and_grads_by_columns(prob, X[:, :k],
+                                                                cols)
+            assert losses == want_losses
+            assert grads.shape == (prob.d, len(cols))
+            assert np.array_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("batch", [[7, 4, 7, 0, 39, 7], [13]],
+                         ids=["repeats", "one_row"])
+def test_gradient_pair_is_the_difference_of_two_batch_gradients(storage, batch,
+                                                                 monkeypatch):
+    # a worker's gradient pair has the bits of two grad_batch calls, from
+    # one gather of the batch
+    prob = small_logistic(storage=storage)
+    rng = rng_of(19)
+    x, snapshot = rng.normal(size=(2, prob.d))
+    idx = np.array(batch)
+    want = prob.grad_batch(idx, x) - prob.grad_batch(idx, snapshot)
+    gathers = []
+
+    def counted(data, rows, inner=Dataset.gather):
+        gathers.append(rows)
+        return inner(data, rows)
+
+    monkeypatch.setattr(Dataset, "gather", counted)
+    assert np.array_equal(prob.grad_batch_diff(idx, x, snapshot), want)
+    assert len(gathers) == 1
+
+
 def test_dense_storage_holds_the_matrix_and_labels_only():
     data = synth_dataset(60, 8, seed=3)
     arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
@@ -626,6 +668,15 @@ class TestMLP:
         v = rng_of(12).normal(size=prob.d)
         np.testing.assert_array_equal(prob.prox(0.3, v), v)
         assert prob.h_value(v) == 0.0
+
+    def test_gradient_pair_is_the_difference_of_two_batch_gradients(self):
+        # the base class makes the two grad_batch calls
+        prob = self.make(n=20)
+        x, snapshot = prob.init_params(1), prob.init_params(2)
+        for batch in ([3, 17, 3, 0], [5]):
+            idx = np.array(batch)
+            want = prob.grad_batch(idx, x) - prob.grad_batch(idx, snapshot)
+            assert np.array_equal(prob.grad_batch_diff(idx, x, snapshot), want)
 
     def test_label_range_validated(self):
         data = synth_multiclass_dataset(10, 4, 3, 0)
