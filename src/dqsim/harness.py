@@ -208,7 +208,7 @@ def build_problem(pcfg: ProblemConfig) -> CompositeProblem:
     if pcfg.kind == "synth_mlp":
         data = synth_multiclass_dataset(pcfg.n, pcfg.d, pcfg.classes, pcfg.seed)
         return mlp_problem(data, hidden=pcfg.hidden, lambda2=pcfg.lambda2,
-                           init_seed=pcfg.seed)
+                           num_classes=pcfg.classes, init_seed=pcfg.seed)
     if pcfg.kind == "synth_logistic":
         data = synth_dataset(pcfg.n, pcfg.d, pcfg.seed, flip_prob=pcfg.flip_prob)
     else:
@@ -409,17 +409,19 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
     """Pick the constant learning rate minimizing the final training loss over
     a short run; ties break toward the smaller rate. Divergent rates
     (non-finite loss, or an iterate too large for a binary32 message) are
-    skipped; all divergent is an error."""
+    skipped; all divergent is an error. Every rate is checked before any
+    problem is built or run."""
     if not grid:
         raise ValueError("empty learning-rate grid")
+    base = config.algo_config()
+    epochs = base.epochs if budget_epochs is None else budget_epochs
+    configs = {lr: replace(base, eta=lr, eta_mode="constant", epochs=epochs)
+               for lr in grid}
     if problem is None:
         problem = build_problem(config.problem)
     workers = build_workers(config.workers)
-    base = config.algo_config()
-    epochs = base.epochs if budget_epochs is None else budget_epochs
     results = {}
-    for lr in grid:
-        acfg = replace(base, eta=lr, eta_mode="constant", epochs=epochs)
+    for lr, acfg in configs.items():
         try:
             results[lr] = run_training(problem, acfg, workers).final_loss
         except OverflowError:

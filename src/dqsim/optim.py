@@ -331,23 +331,22 @@ def gradient_message(
     return codec.encode_full(alpha)
 
 
-def theory_rho(cfg: AlgoConfig, d: int, phi: Optional[float] = None) -> float:
+def theory_rho(cfg: AlgoConfig, d: int) -> float:
     """Largest step-size ratio rho = eta*L satisfying the inner-loop
     stability condition ``A*rho^2 + rho <= 1`` with
     ``A = (8 m^2 + 2 tau^2) * variance_factor``."""
-    factor = _variance_factor(cfg, d, phi)
+    factor = _variance_factor(cfg, d)
     a = (8.0 * cfg.m**2 + 2.0 * cfg.tau**2) * factor
     rho = (-1.0 + math.sqrt(1.0 + 4.0 * a)) / (2.0 * a)
     return min(rho, 0.499999)
 
 
-def _variance_factor(cfg: AlgoConfig, d: int, phi: Optional[float]) -> float:
+def _variance_factor(cfg: AlgoConfig, d: int) -> float:
     mu = cfg.mu if cfg.algo in _MODEL_QUANTIZED else 0.0
     if cfg.algo is Algorithm.SPARSE_ASYLPG:
-        phi = phi if phi is not None else cfg.phi
-        if phi is None:
+        if cfg.phi is None:
             raise ValueError("sparse stability factor needs a budget phi")
-        gamma = _gamma_sparse(d, phi, cfg.b)
+        gamma = _gamma_sparse(d, cfg.phi, cfg.b)
         return (mu + 1.0) * gamma
     delta = _delta_dense(d, cfg.b) if cfg.b < FULL_PRECISION_BITS else 0.0
     return (mu + 1.0) * (delta + 2.0)
@@ -374,7 +373,6 @@ def theory_constants(
     problem: CompositeProblem,
     p_star: Optional[float] = None,
     x0: Optional[np.ndarray] = None,
-    phi: Optional[float] = None,
 ) -> dict:
     """Evaluate the stability constants and step-size conditions for a
     configuration, plus the rate bound when a reference optimum is supplied.
@@ -407,19 +405,19 @@ def theory_constants(
         return report
 
     if cfg.eta_mode == "theory":
-        rho = theory_rho(cfg, d, phi)
+        rho = theory_rho(cfg, d)
     else:
         rho = cfg.eta * L
     report["rho"] = rho
     report["eta"] = rho / L
-    factor = _variance_factor(cfg, d, phi)
+    factor = _variance_factor(cfg, d)
     lhs = (8.0 * rho**2 * cfg.m**2 + 2.0 * rho**2 * cfg.tau**2) * factor + rho
     key = "step_condition_sparse" if cfg.algo is Algorithm.SPARSE_ASYLPG \
         else "step_condition_dense"
     report[key] = lhs
     report["step_condition_ok"] = lhs <= 1.0 + 1e-12
     if cfg.algo is Algorithm.SPARSE_ASYLPG:
-        report["gamma"] = _gamma_sparse(d, phi if phi is not None else cfg.phi, cfg.b)
+        report["gamma"] = _gamma_sparse(d, cfg.phi, cfg.b)
     # serial unquantized comparison: 4 rho^2 m^2 + rho <= 1
     report["serial_condition"] = 4.0 * rho**2 * cfg.m**2 + rho
     report["serial_condition_ok"] = report["serial_condition"] <= 1.0 + 1e-12
@@ -443,7 +441,7 @@ def _epoch_etas(cfg: AlgoConfig, L: Optional[float], d: int) -> list[float]:
             return [1.0 / (cfg.sigma * L * theta) for theta in thetas]
         return [cfg.eta / theta for theta in thetas]
     if theory:
-        return [theory_rho(cfg, d, cfg.phi) / L] * cfg.epochs
+        return [theory_rho(cfg, d) / L] * cfg.epochs
     return [cfg.eta] * cfg.epochs
 
 

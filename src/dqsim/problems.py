@@ -13,14 +13,15 @@ CSR arrays (``Dataset(indptr, indices, values, labels, d)``, so every
 (``Dataset.from_dense``, so every synthetic dataset) as that array, whatever
 its size. A column named twice in a CSR row holds the sum of its entries.
 scipy is imported for CSR storage only (about 22 MB and 0.2 s a process), so
-a libsvm file of any size loads it. On CSR, the whole matrix, its
-transpose and row ranges (the metrics, the set-up oracle and the epoch
-barrier) go through scipy's compiled ``csr_matvec``/``csc_matvec`` or, on a
-block of columns, ``csr_matvecs``/``csc_matvecs``; a gathered batch of rows
-(``Dataset.gather``, which a worker's ``grad_batch_diff`` makes once for its
-two points) takes one weighted ``np.bincount``. All sum each output in the
-same order, so they give the same bits. The logistic kernels
-use only those products; the MLP reads the stored matrix directly.
+a libsvm file of any size loads it. ``Dataset.dot`` and ``Dataset.tdot``
+take a row slice: the whole matrix or a row range (the metrics, the set-up
+oracle and the epoch barrier), on CSR through scipy's compiled
+``csr_matvec``/``csc_matvec`` or, on a block of columns,
+``csr_matvecs``/``csc_matvecs``. An index batch of rows is gathered once
+through ``Dataset.gather`` (a worker's ``grad_batch_diff`` makes one for its
+two points), whose products on CSR are weighted ``np.bincount`` calls. All
+sum each output in the same order, so they give the same bits. The logistic
+kernels use only those products; the MLP reads the stored matrix directly.
 
 The full-data values have one method, ``loss_and_grads``: the objective at
 each column of a block of iterates and the full gradient at the columns
@@ -82,6 +83,8 @@ class Dataset:
             raise ValueError("indptr must end at the number of indices")
         if values.shape != indices.shape:
             raise ValueError("values and indices must have the same length")
+        if not np.isfinite(values).all():
+            raise ValueError("feature values must be finite")
         if indices.size and not 0 <= indices.min() <= indices.max() < d:
             raise ValueError("feature index outside [0, d)")
         # imported here, not at module top: scipy adds about 22 MB of
@@ -118,66 +121,48 @@ class Dataset:
         """The matrix as a dense array, a new one on CSR storage."""
         return self._dense if self._dense is not None else self._csr.toarray()
 
-    def dot(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """A[rows] @ x. ``rows`` is a unit-step slice (the default is the
-        whole matrix), which takes a vector or a d x K block ``x``, or an
-        array of row indices, repeats allowed, which takes a vector only.
-        On CSR a row range slices ``A @ x``."""
-        _check_batch_operand(rows, x)
-        if not isinstance(rows, slice):
-            return self.gather(rows).dot(x)
+    def dot(self, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """A[rows] @ x for a row slice ``rows`` (the default is the whole
+        matrix) and a vector or d x K block ``x``. On CSR a row range slices
+        ``A @ x``. An index batch of rows goes through ``gather``."""
         if self._dense is not None:
             return self._dense[rows] @ x
-        lo, hi = self._row_range(rows)
-        return (self._csr @ x)[lo:hi]
+        return (self._csr @ x)[rows]
 
-    def tdot(self, w: np.ndarray, rows=slice(None), cols=None) -> np.ndarray:
-        """A[rows].T @ w, with ``rows`` and the vector or n x K block ``w``
-        as in ``dot``. ``cols`` picks columns of a block, so it needs a row
-        slice. Dense storage multiplies the whole block, as a narrower GEMM
-        rounds differently, and picks the columns after. CSR multiplies only
-        those, each with the bits of its vector product, and a row range as
-        the whole transpose times ``w`` zero-padded."""
-        _check_batch_operand(rows, w)
-        if cols is not None and w.ndim != 2:
-            raise ValueError("cols picks columns of a block w, not of a vector")
-        if not isinstance(rows, slice):
-            return self.gather(rows).tdot(w)
+    def tdot(self, w: np.ndarray, rows: slice = slice(None),
+             cols=None) -> np.ndarray:
+        """A[rows].T @ w, with ``rows`` a row slice and ``w`` a vector or
+        n x K block as in ``dot``. ``cols`` picks columns of a block. Dense
+        storage multiplies the whole block, as a narrower GEMM rounds
+        differently, and picks the columns after. CSR multiplies only those,
+        each with the bits of its vector product, and a row range as the
+        whole transpose times ``w`` placed in zeros at the range."""
         if self._dense is not None:
             out = self._dense[rows].T @ w
             return out if cols is None else out[:, cols]
         if cols is not None:
             w = w[:, cols]
-        lo, hi = self._row_range(rows)
-        if (lo, hi) != (0, self.n):
-            w = np.pad(w, [(lo, self.n - hi)] + [(0, 0)] * (w.ndim - 1))
+        if range(*rows.indices(self.n)) != range(self.n):  # else no copy
+            full = np.zeros((self.n,) + w.shape[1:])
+            full[rows] = w
+            w = full
         return self._csr.T @ w  # .T is a CSC view, no copy
-
-    def _row_range(self, rows: slice) -> tuple[int, int]:
-        """The bounds of a unit-step row slice."""
-        lo, hi, step = rows.indices(self.n)
-        if step != 1:
-            raise ValueError("row slices must have unit step")
-        return lo, hi
 
     def gather(self, rows) -> "RowBatch":
         """A[rows] for an array of row indices, repeats allowed, gathered
-        once, for any number of products with the bits of ``dot`` and
-        ``tdot`` on ``rows``."""
+        once, for any number of products. On CSR the batch holds its
+        entries: (row position in ``rows``, column, value) per entry, plus
+        the row count."""
         if self._dense is not None:
             return RowBatch(self._dense[rows], None, self.d)
-        return RowBatch(None, self._gather(rows), self.d)
-
-    def _gather(self, rows):
-        """CSR entries of A[rows] for an array of row indices: (row position
-        in ``rows``, column, value) per entry, plus the row count."""
         idx = np.asarray(rows, dtype=np.int64)
         starts = self.indptr[idx]
         counts = self.indptr[idx + 1] - starts
         row_ids = np.repeat(np.arange(idx.size), counts)
         offsets = np.cumsum(counts) - counts
         pos = np.repeat(starts - offsets, counts) + np.arange(row_ids.size)
-        return row_ids, self.indices[pos], self.values[pos], idx.size
+        entries = row_ids, self.indices[pos], self.values[pos], idx.size
+        return RowBatch(None, entries, self.d)
 
     def row_norms_sq(self) -> np.ndarray:
         """Each row's squared norm, summed in column order from zero."""
@@ -212,12 +197,6 @@ class RowBatch:
             return self._rows.T @ w
         row_ids, cols, vals, _ = self._entries
         return np.bincount(cols, weights=vals * w[row_ids], minlength=self._d)
-
-
-def _check_batch_operand(rows, v: np.ndarray) -> None:
-    """An index batch of rows multiplies a vector only."""
-    if not isinstance(rows, slice) and v.ndim != 1:
-        raise ValueError("an index batch of rows takes a vector, not a block")
 
 
 _TRANSPOSE_SLICE = 1024  # rows of the n x K side copied at a time
@@ -545,9 +524,11 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
     """Parse the sparse ``label index:value`` text format (1-based indices).
 
     The dimension is the largest index seen unless ``d`` overrides it.
-    Malformed lines raise with their line number. The entries go into typed
-    buffers, not lists of Python numbers, and the ``Dataset`` reads them in
-    place, so a large file never holds one Python object per entry.
+    Malformed lines raise with their line number, and a file the
+    ``Dataset`` rejects (a NaN or infinite value, say) with its path. The
+    entries go into typed buffers, not lists of Python numbers, and the
+    ``Dataset`` reads them in place, so a large file never holds one Python
+    object per entry.
     """
     labels = array("d")
     indptr = array("q", [0])
@@ -578,9 +559,12 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
         d = int(cols.max()) + 1 if cols.size else 0
     if d < 1:
         raise ValueError("dataset has no features; pass an explicit dimension")
-    return Dataset(np.frombuffer(indptr, dtype=np.int64), cols,
-                   np.frombuffer(values, dtype=np.float64),
-                   np.frombuffer(labels, dtype=np.float64), d)
+    try:
+        return Dataset(np.frombuffer(indptr, dtype=np.int64), cols,
+                       np.frombuffer(values, dtype=np.float64),
+                       np.frombuffer(labels, dtype=np.float64), d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_libsvm(path, data: Dataset) -> None:

@@ -216,12 +216,13 @@ def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
     # gathered bincount
     row_ranges = []
 
-    def counted(data, rows, inner=Dataset._row_range):
+    def counted(data, x, *rows, inner=Dataset.dot):
+        # the barrier passes its row range; the metrics pass none
         assert not isinstance(data.matrix, np.ndarray)
-        row_ranges.append(rows)
-        return inner(data, rows)
+        row_ranges.extend(rows)
+        return inner(data, x, *rows)
 
-    monkeypatch.setattr(Dataset, "_row_range", counted)
+    monkeypatch.setattr(Dataset, "dot", counted)
     threads, simulated = _threads_and_simulated(
         "sparse_asylpg", tmp_path, _problem_section("libsvm_csr", tmp_path))
     assert row_ranges

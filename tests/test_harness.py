@@ -243,6 +243,16 @@ class TestConfig:
         prob = build_problem(mlp_cfg.problem)
         assert prob.smoothness is None
 
+    def test_mlp_gets_the_configured_classes(self):
+        # 20 draws of 10 classes leave one unlabelled; the network still
+        # has an output for it, so d does not depend on the draw
+        pcfg = parse_config({"problem": {"kind": "synth_mlp", "n": 20, "d": 2,
+                                         "classes": 10, "seed": 1,
+                                         "hidden": 4}}).problem
+        prob = build_problem(pcfg)
+        assert np.unique(prob.targets).size < 10
+        assert prob.num_classes == 10 and prob.d == 4 * 2 + 4 + 10 * 4 + 10
+
 
 class TestRunExperiment:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -368,6 +378,18 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lr_grid_search(base_config(), [])
+
+    @pytest.mark.parametrize("grid, budget", [([0.1, 0.05, 0.0], None),
+                                              ([0.1], 0)])
+    def test_every_rate_checked_before_any_compute(self, grid, budget,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the rates were checked")
+
+        monkeypatch.setattr(harness, "build_problem", refuse)
+        monkeypatch.setattr(harness, "run_training", refuse)
+        with pytest.raises(ValueError):
+            lr_grid_search(base_config(), grid, budget_epochs=budget)
 
     def divergent_config(self):
         return parse_config({

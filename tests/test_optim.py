@@ -452,7 +452,7 @@ class TestTheoryConstants:
         prob = QuadProblem(n=4, d=100)
         cfg = AlgoConfig(algo=Algorithm.SPARSE_ASYLPG, b=8, m=10, eta=0.01,
                          phi=10.0)
-        report = theory_constants(cfg, prob, phi=10.0)
+        report = theory_constants(cfg, prob)
         assert report["gamma"] == pytest.approx(11.0155, abs=1e-3)
 
     def test_unquantized_condition_vs_serial_reference(self):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -217,17 +218,20 @@ def test_csr_products_match_bincount_reference():
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     data = Dataset(indptr, cols, vals, np.ones(n), d)
     assert data._dense is None
+    products = [(part, partial(data.dot, rows=part), partial(data.tdot, rows=part))
+                for part in (slice(None), slice(0, n), slice(11, 237),
+                             slice(40, 41))]
     batch = np.array([40, 17, 3, 40, 299, 0, 17])
+    gathered = data.gather(batch)
+    products.append((batch, gathered.dot, gathered.tdot))
     for scale in (1e-3, 1.0, 1e3):
         x = rng.normal(size=d) * scale
         w = rng.normal(size=n) * scale
-        for rows_ in (slice(None), slice(0, n), slice(11, 237), slice(40, 41),
-                      batch):
-            got, want = data.dot(x, rows_), csr_dot(data, x, rows_)
+        for rows_, dot, tdot in products:
+            got, want = dot(x), csr_dot(data, x, rows_)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             k = want.size
-            got = data.tdot(w[:k], rows_)
-            want = csr_tdot(data, w[:k], rows_)
+            got, want = tdot(w[:k]), csr_tdot(data, w[:k], rows_)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -302,7 +306,8 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     np.testing.assert_array_equal(data.dense(), [[0.0, 0.0, 3.0],
                                                  [5.0, 0.0, 0.0]])
     np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
-    np.testing.assert_array_equal(data.dot(np.ones(3), np.array([0])), [3.0])
+    np.testing.assert_array_equal(data.gather(np.array([0])).dot(np.ones(3)),
+                                  [3.0])
     np.testing.assert_array_equal(data.tdot(np.ones(2)), [5.0, 0.0, 3.0])
     np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
     # the caller's arrays stay as given
@@ -315,18 +320,12 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
 
 
-def test_index_batch_takes_a_vector_and_cols_a_sliced_block(storage):
+def test_gathered_batch_repeats_rows_and_cols_picks_a_sliced_block(storage):
     X = np.arange(12.0).reshape(4, 3)
     data = stored_as(storage, Dataset.from_dense(X, np.ones(4)))
-    batch = np.array([2, 0, 2])
-    np.testing.assert_array_equal(data.dot(np.ones(3), batch), [21.0, 3.0, 21.0])
-    np.testing.assert_array_equal(data.tdot(np.ones(3), batch), [12.0, 15.0, 18.0])
-    with pytest.raises(ValueError, match="index batch of rows takes a vector"):
-        data.dot(np.ones((3, 2)), batch)
-    with pytest.raises(ValueError, match="index batch of rows takes a vector"):
-        data.tdot(np.ones((3, 2)), batch)
-    with pytest.raises(ValueError, match="cols picks columns of a block"):
-        data.tdot(np.ones(3), batch, cols=[1])
+    batch = data.gather(np.array([2, 0, 2]))
+    np.testing.assert_array_equal(batch.dot(np.ones(3)), [21.0, 3.0, 21.0])
+    np.testing.assert_array_equal(batch.tdot(np.ones(3)), [12.0, 15.0, 18.0])
     W = np.arange(4.0).reshape(2, 2)
     np.testing.assert_array_equal(data.tdot(W, slice(1, 3), cols=[1]),
                                   X[1:3].T @ W[:, [1]])
@@ -524,6 +523,13 @@ class TestLibsvm:
         path = tmp_path / "z.txt"
         path.write_text("1 0:2.0\n")
         with pytest.raises(ValueError, match="line 1"):
+            load_libsvm(path)
+
+    @pytest.mark.parametrize("line", ["1 1:nan 2:1", "-1 1:1 2:inf"])
+    def test_non_finite_value_rejected_with_path(self, tmp_path, line):
+        path = tmp_path / "nf.txt"
+        path.write_text(f"1 1:0.5\n{line}\n")
+        with pytest.raises(ValueError, match=f"{path.name}: .*finite"):
             load_libsvm(path)
 
     def test_empty_file_rejected(self, tmp_path):
