@@ -7,7 +7,8 @@ Subcommands:
     compare      a suite of algorithms on one shared problem
 
 The number of parallel runs in ``compare`` is capped by the DQSIM_THREADS
-environment variable (default 1, fully serial).
+environment variable (default 1, fully serial). A rejected config, option or
+file ends the command with one ``dqsim: error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    """Run the parsed subcommand and print its JSON result."""
     config = _apply_overrides(load_config(args.config), args)
 
     if args.command == "run":
@@ -115,7 +125,7 @@ def main(argv=None) -> int:
         print(json.dumps(table, indent=2, sort_keys=True))
         return 0
 
-    parser.error(f"unknown command {args.command!r}")  # exits
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -128,8 +128,12 @@ class AlgoConfig:
                     or not 2 <= width <= FULL_PRECISION_BITS:
                 raise ValueError(f"{name} must be in [2, {FULL_PRECISION_BITS}], "
                                  f"got {width!r}")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        for name in ("eta", "mu", "sigma", "phi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.mu < 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
         if self.epochs < 1 or self.m < 1:
             raise ValueError("epochs and m must be >= 1")
         if self.eta_mode not in ("constant", "theory"):

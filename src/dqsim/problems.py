@@ -558,7 +558,8 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
     if d is None:
         d = int(cols.max()) + 1 if cols.size else 0
     if d < 1:
-        raise ValueError("dataset has no features; pass an explicit dimension")
+        raise ValueError(f"{path}: dataset has no features; "
+                         "pass an explicit dimension")
     try:
         return Dataset(np.frombuffer(indptr, dtype=np.int64), cols,
                        np.frombuffer(values, dtype=np.float64),

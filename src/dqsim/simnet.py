@@ -30,7 +30,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import numbers
+import queue
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +48,9 @@ __all__ = [
     "WorkerSpec",
     "StalenessRecord",
     "run_inner_loop",
+    "run_inner_loop_threads",
     "epoch_barrier",
+    "check_field_types",
 ]
 
 
@@ -269,76 +273,43 @@ def run_inner_loop_threads(
 ) -> list[StalenessRecord]:
     """Real-thread variant of :func:`run_inner_loop`.
 
-    One OS thread per worker; compute time replaces the latency model, so
-    arrival order depends on the scheduler and determinism is forfeited. The
-    staleness bound is enforced with the same admission and deadline rules.
-    Workers share nothing: they receive model messages and return results by
-    value over queues, and only the master thread touches master state (all
-    model_step/apply_step calls happen here; worker_step runs on the worker's
-    thread against its own streams). An exception raised by ``worker_step``
-    stops the run and is re-raised here once every worker thread has exited.
+    Each worker runs on its own single-thread pool; compute time replaces the
+    latency model, so arrival order depends on the scheduler and determinism
+    is forfeited. The staleness bound is enforced with the same admission and
+    deadline rules. Workers share nothing: they receive model messages and
+    return results by value, and only the master thread touches master state
+    (all model_step/apply_step calls happen here; worker_step runs on the
+    worker's thread against its own streams). An exception raised by
+    ``worker_step`` stops the run and is re-raised here. Every worker thread
+    is joined before this returns or raises.
     """
-    import queue
-    import threading
-
     _validate_loop_args(workers, tau, m)
-    results: queue.Queue = queue.Queue()
-    inboxes = {w.worker_id: queue.Queue() for w in workers}
-
-    def worker_loop(worker_id: int):
-        inbox = inboxes[worker_id]
-        while (item := inbox.get()) is not None:
-            seq, model = item
-            try:
-                payload = worker_step(worker_id, model)
-            except Exception as exc:  # carried to the master, which re-raises
-                results.put((seq, None, exc))
-                return
-            results.put((seq, payload, None))
-
-    threads = [
-        threading.Thread(target=worker_loop, args=(w.worker_id,), daemon=True)
-        for w in workers
-    ]
-    for th in threads:
-        th.start()
-
+    pools = {w.worker_id: ThreadPoolExecutor(max_workers=1) for w in workers}
+    finished: queue.SimpleQueue = queue.SimpleQueue()  # (task, future)
     gate = _Gate(workers, tau)
     arrival_order = itertools.count()
-
-    def receive(block: bool) -> None:
-        """Hand every finished result to the gate; with ``block``, first wait
-        for one."""
-        while True:
-            try:
-                seq, payload, error = results.get(block=block)
-            except queue.Empty:
-                return
-            if error is not None:
-                raise error
-            block = False
-            task = gate.outstanding[seq]
-            task.payload = payload
-            task.arrival = next(arrival_order)
-            gate.arrive(task)
-            if on_arrival is not None:
-                on_arrival(task.arrival, task.worker_id, payload)
-
     try:
         while gate.t < m:
             for task in gate.admit():
-                inboxes[task.worker_id].put(
-                    (task.seq, model_step(task.worker_id, task.version)))
-            receive(block=False)
-            while (chosen := gate.choose()) is None:
-                receive(block=True)
+                model = model_step(task.worker_id, task.version)
+                future = pools[task.worker_id].submit(
+                    worker_step, task.worker_id, model)
+                future.add_done_callback(
+                    lambda future, task=task: finished.put((task, future)))
+            # Land every finished result, then choose; block for the next
+            # result only while no pending one is safe.
+            while not finished.empty() or (chosen := gate.choose()) is None:
+                task, future = finished.get()
+                task.payload = future.result()  # re-raises a worker's error
+                task.arrival = next(arrival_order)
+                gate.arrive(task)
+                if on_arrival is not None:
+                    on_arrival(task.arrival, task.worker_id, task.payload)
             record = gate.apply(chosen, chosen.arrival)
             apply_step(record.t, chosen.payload, record)
     finally:
-        for inbox in inboxes.values():
-            inbox.put(None)
-        for th in threads:
-            th.join()
+        for pool in pools.values():
+            pool.shutdown(cancel_futures=True)
     return gate.records
 
 

@@ -65,3 +65,20 @@ def test_compare_subcommand(config_path, capsys):
     out = json.loads(capsys.readouterr().out)
     algos = [row["algo"] for row in out["table"]]
     assert algos == ["asyfpg", "asylpg"]
+
+
+def test_rejected_option_is_one_error_line(config_path, capsys):
+    rc = main(["grid-search", "--config", str(config_path), "--grid", "0.1,0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dqsim: error: eta must be positive\n"
+
+
+def test_missing_config_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc = main(["run", "--config", str(missing)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dqsim: error: ") and str(missing) in err
+    assert err.count("\n") == 1

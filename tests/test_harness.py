@@ -174,10 +174,12 @@ class TestConfig:
         ("mu_probe_widths", [40]), ("mu_probe_widths", [True]),
         ("mu_probe_widths", 8), ("bx_adapt", "no"), ("track_grad_mapping", 1),
         ("eta", "0.1"), ("mu", True), ("sigma", "2"), ("phi", "4"),
+        ("eta", math.nan), ("eta", math.inf), ("sigma", math.nan),
+        ("phi", math.nan), ("phi", math.inf),
     ])
     def test_bad_algo_values_rejected_at_parse(self, key, value):
-        # a wrong type fails where the config is read, naming its field,
-        # not late in the run or silently as another value
+        # a wrong type or a non-finite value fails where the config is read,
+        # naming its field, not late in the run or silently as another value
         with pytest.raises(ValueError, match=key):
             parse_config({"algo": {key: value}})
 

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,48 @@ class TestThreadedLoop:
         runner.join(timeout=10)
         assert not runner.is_alive()
         assert [type(exc) for exc in caught] == [WorkerFailure]
+
+    @pytest.mark.parametrize(
+        "failing", [None, "worker_step", "model_step", "apply_step"])
+    def test_worker_threads_joined_however_the_run_ends(self, failing):
+        class Failure(Exception):
+            pass
+
+        def step(name, count):
+            if name == failing and count == 10:
+                raise Failure(name)
+
+        def model_step(worker_id, version):
+            step("model_step", version)
+            return version
+
+        def worker_step(worker_id, version):
+            step("worker_step", version)
+            time.sleep(1e-3)  # other workers are mid-step when the run stops
+            return version
+
+        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(4)]
+        before = threading.active_count()
+        out = {}
+
+        def run():
+            try:
+                out["recs"] = run_inner_loop_threads(
+                    workers, 2, 40, model_step, worker_step,
+                    lambda t, p, r: step("apply_step", t),
+                )
+            except Failure as exc:
+                out["error"] = str(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        if failing is None:
+            assert len(out["recs"]) == 40
+        else:
+            assert out == {"error": failing}
+        assert threading.active_count() == before
 
     def test_stress_more_workers_than_cores(self):
         tau, m = 5, 2000
