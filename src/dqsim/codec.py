@@ -43,6 +43,7 @@ from .quantizer import (
     LowPrecisionVector,
     QuantGrid,
     SparseLowPrecisionVector,
+    _as_vector,
 )
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "decode_dense",
     "decode_sparse",
     "decode_full",
+    "write_csv",
 ]
 
 
@@ -202,11 +204,7 @@ def encode_full(v) -> WireMessage:
     A finite value that rounds past the binary32 range raises
     ``OverflowError``, as the scale of a quantized message does, so the wire
     never carries an infinity the simulator does not hold."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot encode non-finite values")
+    arr = _as_vector(v)
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(arr.astype(np.float32))):
             raise OverflowError("value too large for binary32")
@@ -288,11 +286,16 @@ class BitLedger:
         self.record(step, direction, msg.kind.value, msg.bits)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "direction", "kind", "bits", "cumulative_bits"])
-            for row in self.rows:
-                writer.writerow(
-                    [row.step, row.direction, row.kind, row.bits, row.cumulative_bits]
-                )
+        write_csv(path, ["step", "direction", "kind", "bits", "cumulative_bits"],
+                  ([r.step, r.direction, r.kind, r.bits, r.cumulative_bits]
+                   for r in self.rows))
+
+
+def write_csv(path, header, rows) -> None:
+    """A table of a run: the header, then each row, a sequence of values,
+    through ``csv.writer``, which writes ``None`` as an empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 

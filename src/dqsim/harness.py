@@ -15,7 +15,6 @@ Outputs per run directory:
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import write_csv
 from .optim import Algorithm, AlgoConfig, run_training, theory_constants
 from .problems import (
     CompositeProblem,
@@ -88,15 +88,15 @@ class ProblemConfig:
                 raise ValueError(f"problem.{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
         for name in ("lambda1", "lambda2"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"problem.{name} must be >= 0, "
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"problem.{name} must be finite and >= 0, "
                                  f"got {getattr(self, name)!r}")
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("problem.flip_prob must be in [0, 1], "
                              f"got {self.flip_prob!r}")
-        if self.box_radius is not None and not self.box_radius > 0:
-            raise ValueError("problem.box_radius must be > 0 when set, "
-                             f"got {self.box_radius!r}")
+        if self.box_radius is not None and not 0 < self.box_radius < math.inf:
+            raise ValueError("problem.box_radius must be finite and > 0 when "
+                             f"set, got {self.box_radius!r}")
         if self.kind == "libsvm_logistic" and not (
                 self.path and Path(self.path).exists()):
             raise ValueError(f"dataset path does not exist: {self.path!r}")
@@ -175,7 +175,11 @@ class RunReport:
 
 
 def _section(cls, raw: Optional[dict], name: str):
-    """Config section ``name``: ``cls`` built from the given keys and defaults."""
+    """Config section ``name``: ``cls`` built from the given keys and
+    defaults; ``None`` (JSON ``null``) takes every default."""
+    if not isinstance(raw, (dict, type(None))):
+        raise ValueError(f"config section {name!r} must be a JSON object or "
+                         f"null, got {raw!r}")
     try:
         return cls(**(raw or {}))
     except TypeError as exc:  # a key that ``cls`` does not take
@@ -185,6 +189,8 @@ def _section(cls, raw: Optional[dict], name: str):
 def parse_config(raw: dict) -> ExperimentConfig:
     """Materialize all defaults; unknown keys are errors (validated before
     any compute)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {raw!r}")
     unknown = set(raw) - {"problem", "algo", "workers", "run"}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
@@ -298,33 +304,6 @@ _METRIC_FIELDS = [
 ]
 
 
-def _write_metrics_csv(path, rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_METRIC_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            out = {k: ("" if row.get(k) is None else row.get(k)) for k in _METRIC_FIELDS}
-            writer.writerow(out)
-
-
-def _write_trace_csv(path, rows: Sequence[dict]) -> None:
-    """Per-update trace from the metrics rows: global update index t, the
-    global model version D_t its gradient was computed at, worker, epoch,
-    and the gradient message's kind and bits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "D_t", "worker_id", "epoch", "message_kind", "bits"])
-        for row in rows:
-            writer.writerow([
-                row["t_global"],
-                row["t_global"] - row["staleness"],
-                row["worker_id"],
-                row["epoch"],
-                row["message_kind"],
-                row["bits"],
-            ])
-
-
 def run_experiment(config: ExperimentConfig,
                    problem: Optional[CompositeProblem] = None,
                    loss_target: Optional[float] = "unset") -> RunReport:
@@ -358,9 +337,13 @@ def run_experiment(config: ExperimentConfig,
         metrics_csv = str(out / "metrics.csv")
         ledger_csv = str(out / "ledger.csv")
         trace_csv = str(out / "trace.csv")
-        _write_metrics_csv(metrics_csv, result.metrics)
+        write_csv(metrics_csv, _METRIC_FIELDS,
+                  ([row.get(k) for k in _METRIC_FIELDS] for row in result.metrics))
         result.ledger.write_csv(ledger_csv)
-        _write_trace_csv(trace_csv, result.metrics)
+        write_csv(trace_csv, ["t", "D_t", "worker_id", "epoch", "message_kind", "bits"],
+                  ([row["t_global"], row["t_global"] - row["staleness"],
+                    row["worker_id"], row["epoch"], row["message_kind"], row["bits"]]
+                   for row in result.metrics))
 
     report = RunReport(
         config=config.to_dict(),
@@ -450,11 +433,7 @@ def figure_mu_trace(config: ExperimentConfig,
     if out_path:
         columns = ["epoch", "version", "mu_required", "b_x_used", "violation"]
         columns += [f"mu_required_b{w}" for w in widths]
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in columns})
+        write_csv(out_path, columns, ([row.get(k) for k in columns] for row in rows))
     summary = _mu_summary(rows, acfg.m, widths)
     summary["rows"] = rows
     return summary

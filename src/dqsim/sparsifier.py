@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantizer import _as_vector
+
 __all__ = [
     "SparsePlan",
     "SparseRealVector",
@@ -86,18 +88,9 @@ class SparseRealVector:
         return int(self.indices.size)
 
 
-def _as_alpha(alpha) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("alpha must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("alpha contains non-finite entries")
-    return arr
-
-
 def budget_max(alpha) -> float:
     """Largest budget for which the optimal plan is valid: ``||a||_1 / ||a||_inf``."""
-    alpha = _as_alpha(alpha)
+    alpha = _as_vector(alpha, "alpha")
     inf = float(np.max(np.abs(alpha)))
     if inf == 0.0:
         raise ValueError("budget_max undefined for the zero vector")
@@ -121,7 +114,7 @@ def optimal_plan(alpha, phi: float) -> SparsePlan:
     Requires ``0 < phi <= budget_max(alpha)``; the bound guarantees every
     probability is at most one. Exactly-zero coordinates get probability zero.
     """
-    alpha = _as_alpha(alpha)
+    alpha = _as_vector(alpha, "alpha")
     absa = np.abs(alpha)
     l1 = float(absa.sum())
     if l1 == 0.0:
@@ -144,7 +137,7 @@ def sparsify(alpha, plan: SparsePlan, rng: np.random.Generator) -> SparseRealVec
     Consumes ``dim`` uniform draws. Coordinates with ``p_i = 0`` are never
     emitted.
     """
-    alpha = _as_alpha(alpha)
+    alpha = _as_vector(alpha, "alpha")
     if alpha.size != plan.dim:
         raise ValueError("plan dimension does not match alpha")
     u = rng.random(alpha.size)

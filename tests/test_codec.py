@@ -108,9 +108,14 @@ class TestBitFormulas:
         assert back.nnz == 0
         np.testing.assert_array_equal(back.decode(), np.zeros(50))
 
-    @pytest.mark.parametrize("d,expected", [(1, 0), (2, 1), (1024, 10), (1025, 11)])
+    @pytest.mark.parametrize("d,expected", [(1, 0), (2, 1), (1024, 10), (1025, 11),
+                                            (0, ValueError)])
     def test_index_bits(self, d, expected):
-        assert index_bits(d) == expected
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                index_bits(d)
+        else:
+            assert index_bits(d) == expected
 
     def test_full_counted_bits(self):
         assert encode_full(np.zeros(1000)).bits == 32_000
@@ -171,6 +176,11 @@ class TestRoundtrips:
         assert decode_message(encode_flag().payload, 5).kind is MessageKind.FLAG
         with pytest.raises(ValueError):
             decode_message(b"\xff\x00", 5)
+        # a decoder given another kind's stream, or none, refuses it
+        with pytest.raises(ValueError, match="quantized_dense tag"):
+            decode_dense(encode_flag().payload, 5, 6)
+        with pytest.raises(ValueError, match="full tag"):
+            decode_full(b"", 5)
 
     def test_width_over_32_rejected(self):
         grid = QuantGrid(1.0, 33)
@@ -186,8 +196,13 @@ class TestRoundtrips:
             )
 
     def test_non_finite_full_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             encode_full(np.array([1.0, np.inf]))
+        # the shape is checked first, as in the quantizer
+        with pytest.raises(ValueError, match="1-d vector"):
+            encode_full(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="non-empty"):
+            encode_full([])
 
     def test_scale_beyond_binary32_overflows_at_encode(self):
         grid = QuantGrid(1e39, 4)

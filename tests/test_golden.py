@@ -6,10 +6,13 @@ Each case runs ``run_experiment`` on a tiny config and pins the sha256 of
 message width or the CSV format moves a digest; a refactor that keeps them
 all has kept the behaviour. Each case also pins the sha256 of its whole
 materialized config, ``json.dumps(parse_config(raw).to_dict())``, so a
-refactor of the config path keeps every section and default byte for byte.
+refactor of the config path keeps every section and default byte for byte,
+and the sha256 of its ``report.json``; each model-quantizing case pins the
+sha256 of the ``mu_trace.csv`` that ``figure_mu_trace`` writes for it.
 After an intentional change, print the new tables with
-``python tests/test_golden.py``, paste them over ``GOLDEN`` and
-``CONFIG_DIGESTS`` and say why in the change log.
+``python tests/test_golden.py``, paste them over ``GOLDEN``,
+``CONFIG_DIGESTS``, ``REPORT_DIGESTS`` and ``MU_TRACE_DIGESTS`` and say why
+in the change log.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ if __name__ == "__main__":  # run as a script from a checkout
 import numpy as np
 import pytest
 
-from dqsim.harness import parse_config, run_experiment
+from dqsim.harness import figure_mu_trace, parse_config, run_experiment
 from dqsim.optim import Algorithm
 from dqsim.problems import Dataset, write_libsvm
 
@@ -129,6 +132,32 @@ CONFIG_DIGESTS = {
     'sparse_asylpg': '5334fc4fdd55b9d180fbf8839f52255225b67620ba66c52931ff351dad9e77df',
 }
 
+# case: sha256 of report.json, with the temporary directory as "<tmp>"
+REPORT_DIGESTS = {
+    'acc_asyfpg': 'b01e6fb8224071aebc48f6022c41256b13455d92a625b962429a9dffd1d68ec4',
+    'acc_asylpg': 'a9ade682a45d5d3b62ebb9eccb579d589ae9904e5b27c4a6e3433c8f6de6e235',
+    'asyfpg': '6f179c864a1afecbb05fa63521c5c0ab18f8638225296e4a31d4b146dcc88e55',
+    'asylpg': '029dfcfb9eb99b00d3cc8827451f526dc3cb15bb95efb6e306ba4ea2a26b536a',
+    'asylpg_theory': 'a7aac2ee2b1e5a040f3d6ef9f64597888a185abe1474fa2f7e60d930ae3a735d',
+    'libsvm_csr': 'e1baa24b4c3e86c6835d6974e8a6e6ea94faeb48b5a8afb2d26852a71871c5f2',
+    'mlp': '2e38819937a776d812a4f1b804b1378afc4bdf7ea155f687403bacbb5a33b727',
+    'qsvrg': '186f3765e02d249c6c8f86f9e3c17a409ef257639f43220140e1d65f8be8c47e',
+    'sparse_asylpg': '2a47d8d1feb5be005af9d09112144b447dcaf54fb95b912c5e83e66f59fc7223',
+}
+
+# model-quantizing case: sha256 of mu_trace.csv at the default probe widths
+MU_TRACE_DIGESTS = {
+    'acc_asylpg': '701de184426ca5fa06ec32c9f9007b882921c5ec93e42416d9b1c19e940d3dbd',
+    'asylpg': '7053252f843f26f17e3bbc5f7288746d2ebc34a9044f6b8b3b8d958bf041c85b',
+    'asylpg_theory': 'be538c8e8891723dab75fd7814d55ad9084bfd444b53d0530895150b5a88d3df',
+    'libsvm_csr': '92bba4372eb74d0562242d77c051b94698d5d185c7f2d5f0655f43cd504a44fb',
+    'mlp': '3f30428190a83eb451b32248145c1407cd706dfceb92ddc29115d69777b11f43',
+    'sparse_asylpg': '637dda6d12911ea7fbf5e60f692d31eb28ad03ceaf15ffc4760b586e80577f1c',
+}
+
+MU_TRACE_CASES = sorted(name for name in CASES if CASES[name]["algo"]["algo"]
+                        in ("asylpg", "sparse_asylpg", "acc_asylpg"))
+
 
 def _write_sparse_libsvm(path) -> None:
     """A 200 x 30 dataset at about 30% density, exact through the text
@@ -165,9 +194,25 @@ def fingerprint(name: str, tmp_path: Path) -> tuple:
     return _fingerprint_of(_raw_config(name, tmp_path))
 
 
-def config_digest(name: str, tmp_path: Path) -> str:
-    text = json.dumps(parse_config(_raw_config(name, tmp_path)).to_dict())
+def _digest_in(tmp_path: Path, text: str) -> str:
+    """sha256 of ``text`` with the temporary directory written as "<tmp>"."""
     return hashlib.sha256(text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+
+
+def config_digest(name: str, tmp_path: Path) -> str:
+    return _digest_in(
+        tmp_path, json.dumps(parse_config(_raw_config(name, tmp_path)).to_dict()))
+
+
+def report_digest(name: str, tmp_path: Path) -> str:
+    report = run_experiment(parse_config(_raw_config(name, tmp_path)))
+    return _digest_in(tmp_path, (Path(report.out_dir) / "report.json").read_text())
+
+
+def mu_trace_digest(name: str, tmp_path: Path) -> str:
+    path = tmp_path / f"{name}_mu_trace.csv"
+    figure_mu_trace(parse_config(_raw_config(name, tmp_path)), out_path=path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fingerprint_of(raw: dict) -> tuple:
@@ -187,6 +232,16 @@ def test_golden_fingerprint(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_config_fingerprint(name, tmp_path):
     assert config_digest(name, tmp_path) == CONFIG_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_fingerprint(name, tmp_path):
+    assert report_digest(name, tmp_path) == REPORT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", MU_TRACE_CASES)
+def test_mu_trace_fingerprint(name, tmp_path):
+    assert mu_trace_digest(name, tmp_path) == MU_TRACE_DIGESTS[name]
 
 
 def _threads_and_simulated(algo: str, tmp_path: Path,
@@ -243,4 +298,12 @@ if __name__ == "__main__":
         print("CONFIG_DIGESTS = {")
         for name in sorted(CASES):
             print(f"    {name!r}: {config_digest(name, Path(tmp))!r},")
+        print("}")
+        print("REPORT_DIGESTS = {")
+        for name in sorted(CASES):
+            print(f"    {name!r}: {report_digest(name, Path(tmp))!r},")
+        print("}")
+        print("MU_TRACE_DIGESTS = {")
+        for name in MU_TRACE_CASES:
+            print(f"    {name!r}: {mu_trace_digest(name, Path(tmp))!r},")
         print("}")

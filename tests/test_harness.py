@@ -89,6 +89,13 @@ class TestConfig:
             parse_config({"extra_section": {}})
         with pytest.raises(ValueError, match="unknown"):
             parse_config({"run": {"repetitions": 3}})
+        # a config or a section that is not an object is refused as such;
+        # a null section takes every default
+        for raw in ([], {"problem": [1]}, {"problem": []}, {"problem": 0},
+                    {"workers": False}, {"run": ""}):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                parse_config(raw)
+        assert parse_config({"problem": None, "workers": None}) == parse_config({})
 
     def test_missing_dataset_path_rejected(self):
         with pytest.raises(ValueError, match="path"):
@@ -128,6 +135,8 @@ class TestConfig:
         ("problem", "lambda1", -1e-5), ("problem", "lambda2", -1.0),
         ("problem", "flip_prob", 2.0), ("problem", "flip_prob", -0.1),
         ("problem", "box_radius", 0.0), ("problem", "box_radius", -1.0),
+        ("problem", "lambda1", math.inf), ("problem", "lambda2", math.inf),
+        ("problem", "box_radius", math.inf),
         ("run", "out_dir", 5), ("run", "loss_target", math.nan),
         ("run", "loss_target", math.inf), ("run", "loss_target", -math.inf),
     ])

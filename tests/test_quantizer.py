@@ -5,6 +5,7 @@ from dqsim.optim import AlgoConfig
 from dqsim.quantizer import (
     LowPrecisionVector,
     QuantGrid,
+    SparseLowPrecisionVector,
     choose_bx,
     expected_sq_error,
     grid_for,
@@ -59,6 +60,10 @@ class TestQuantizeScalar:
             quantize_one(np.nan, QuantGrid(1.0, 2), rng)
         with pytest.raises(ValueError):
             quantize_one(1.0, QuantGrid(0.0, 2), rng)
+        with pytest.raises(ValueError, match="v must be a 1-d vector"):
+            quantize_vector(np.ones((2, 2)), 4, rng)
+        with pytest.raises(ValueError, match="v must be non-empty"):
+            quantize_vector([], 4, rng)
 
 
 class TestQuantizeVector:
@@ -139,6 +144,8 @@ class TestExpectedSqError:
     def test_rejects_out_of_hull(self):
         with pytest.raises(ValueError):
             expected_sq_error([5.0], QuantGrid(1.0, 2))
+        with pytest.raises(ValueError, match="zero-delta grid only covers"):
+            expected_sq_error([0.0, 1.0], QuantGrid(0.0, 2))
 
 
 class TestChooseBx:
@@ -223,6 +230,16 @@ class TestTypes:
     def test_lpv_validation(self):
         with pytest.raises(ValueError):
             LowPrecisionVector(QuantGrid(1.0, 2), np.array([2]))
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            LowPrecisionVector(QuantGrid(1.0, 2), np.array([], dtype=np.int64))
+        grid = QuantGrid(1.0, 2)
+        for dim, idx, codes, match in [
+                (0, [], [], "dim"), (3, [0, 1], [1], "equal length"),
+                (3, [1, 1], [1, 1], "strictly increasing"),
+                (3, [0], [2], "outside representable range")]:
+            with pytest.raises(ValueError, match=match):
+                SparseLowPrecisionVector(grid, dim, np.array(idx, dtype=np.int64),
+                                         np.array(codes, dtype=np.int64))
         q = LowPrecisionVector(QuantGrid(1.0, 2), np.array([-2, 1]))
         assert q == LowPrecisionVector(QuantGrid(1.0, 2), np.array([-2, 1]))
 

@@ -2,12 +2,13 @@ import hashlib
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dqsim import harness
 from dqsim.codec import BitLedger
-from dqsim.harness import _write_trace_csv
 from dqsim.optim import make_streams
 from dqsim.problems import logistic_problem, synth_dataset
 from dqsim.simnet import (
@@ -158,15 +159,27 @@ class TestInnerLoop:
             "e369e47ee6890f291f557552c97ec7115f75dbbfeec887690a3e03054375f814"
         )
 
-    def test_trace_csv(self, tmp_path):
-        # trace.csv is projected from the metrics rows: D_t = t - staleness
+    def test_trace_csv(self, tmp_path, monkeypatch):
+        # trace.csv is projected from the metrics rows: D_t = t - staleness;
+        # the run's writer gets these rows from a stand-in training run
         rows = [{"epoch": 0, "t": 0, "t_global": 0, "D_t": 0, "staleness": 0,
-                 "worker_id": 1, "message_kind": "full", "bits": 64}]
+                 "worker_id": 1, "message_kind": "full", "bits": 64},
+                {"epoch": 1, "t": 2, "t_global": 7, "D_t": 0, "staleness": 2,
+                 "worker_id": 0, "message_kind": "quantized_dense", "bits": 40}]
+        result = SimpleNamespace(
+            metrics=rows, ledger=BitLedger(), final_loss=0.0, violations=0,
+            search_failures=0, min_grad_mapping_sq=None, output=np.zeros(1))
+        monkeypatch.setattr(harness, "run_training", lambda *args: result)
+        config = harness.parse_config(
+            {"run": {"out_dir": str(tmp_path), "loss_target": None}})
+        report = harness.run_experiment(
+            config, problem=SimpleNamespace(smoothness=None))
         path = tmp_path / "trace.csv"
-        _write_trace_csv(path, rows)
+        assert report.trace_csv == str(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,D_t,worker_id,epoch,message_kind,bits"
         assert lines[1] == "0,0,1,0,full,64"
+        assert lines[2] == "7,5,0,1,quantized_dense,40"
 
 
 class TestThreadedLoop:

@@ -40,6 +40,11 @@ class TestBudgetMax:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             budget_max([0.0, 0.0])
+        # the checked vector: messages name alpha, whose shape comes first
+        for alpha, match in [([[1.0]], "alpha must be"), ([], "alpha must be"),
+                             ([1.0, np.inf], "alpha contains non-finite")]:
+            with pytest.raises(ValueError, match=match):
+                budget_max(alpha)
 
 
 class TestOptimalPlan:
@@ -66,11 +71,18 @@ class TestOptimalPlan:
     def test_over_budget_rejected(self):
         with pytest.raises(ValueError, match="variance-optimality"):
             optimal_plan([3.0, 1.0], 2.0)
+        with pytest.raises(ValueError, match="zero vector"):
+            optimal_plan([0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            optimal_plan([3.0, 1.0], 0.0)
 
     def test_clamp_budget_warns_and_caps(self, caplog):
         with caplog.at_level("WARNING"):
             assert clamp_budget([3.0, 1.0], 5.0) == pytest.approx(4.0 / 3.0)
         assert any("clamping" in r.message for r in caplog.records)
+        assert clamp_budget([3.0, 1.0], 1.25) == 1.25  # in range: unchanged
+        with pytest.raises(ValueError, match="must be positive"):
+            clamp_budget([3.0, 1.0], 0.0)
 
 
 class TestSparsify:
@@ -189,11 +201,20 @@ class TestTypes:
             SparsePlan(np.array([0.5, 1.5]), 2.0)
         with pytest.raises(ValueError):
             SparsePlan(np.array([0.5, 0.5]), 2.0)
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            SparsePlan(np.array([]), 0.0)
+        with pytest.raises(ValueError, match="plan dimension"):
+            sparsify([1.0, 2.0], SparsePlan(np.ones(3), 3.0), rng_of(0))
 
     def test_sparse_vector_validation(self):
         with pytest.raises(ValueError):
             SparseRealVector(3, np.array([2, 1]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             SparseRealVector(3, np.array([0, 1]), np.array([1.0, 0.0]))
+        for dim, idx, vals, match in [
+                (0, [], [], "dim"), (3, [0, 1], [1.0], "equal length"),
+                (3, [3], [1.0], "out of range")]:
+            with pytest.raises(ValueError, match=match):
+                SparseRealVector(dim, np.array(idx, dtype=np.int64), np.array(vals))
         v = SparseRealVector(4, np.array([1, 3]), np.array([2.0, -1.0]))
         np.testing.assert_array_equal(sparse_to_dense(v), [0.0, 2.0, 0.0, -1.0])
