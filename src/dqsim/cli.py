@@ -8,7 +8,9 @@ Subcommands:
 
 The number of parallel runs in ``compare`` is capped by the DQSIM_THREADS
 environment variable (default 1, fully serial). A rejected config, option or
-file ends the command with one ``dqsim: error:`` line and exit status 2.
+file, and a run whose values overflow what the wire can carry (a divergent
+step size), end the command with one ``dqsim: error:`` line and exit
+status 2.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -465,6 +465,17 @@ def _mu_summary(rows: Sequence[dict], m: int, widths: Sequence[int]) -> dict:
     return summary
 
 
+_pool_state: dict = {}  # a compare_suite worker process's run, and only there
+
+
+def _set_pool_run(run) -> None:
+    _pool_state["run"] = run
+
+
+def _pool_run(config: ExperimentConfig) -> RunReport:
+    return _pool_state["run"](config)
+
+
 def compare_suite(configs: Sequence[ExperimentConfig],
                   loss_target: Optional[float] = None) -> dict:
     """Run several algorithms on one shared problem and tabulate
@@ -486,8 +497,12 @@ def compare_suite(configs: Sequence[ExperimentConfig],
 
     run = partial(run_experiment, problem=problem, loss_target=loss_target)
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, configs))
+        # the problem goes to each worker process once, with the initializer,
+        # and a task sends only its config
+        with ProcessPoolExecutor(max_workers=min(threads, len(configs)),
+                                 initializer=_set_pool_run,
+                                 initargs=(run,)) as pool:
+            reports = list(pool.map(_pool_run, configs))
     else:
         reports = list(map(run, configs))
 

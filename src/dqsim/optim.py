@@ -196,7 +196,9 @@ class _MetricColumns:
         self.problem = problem
         self.losses: list[Optional[float]] = [None] * rows
         self.gmaps: list[Optional[float]] = [None] * rows
-        self._columns: list[tuple[np.ndarray, Optional[int], Optional[int]]] = []
+        # row j holds column j's iterate, written in place by ``add``
+        self._iterates = np.empty((_METRIC_BLOCK, problem.d))
+        self._rows: list[tuple[Optional[int], Optional[int]]] = []
 
     def add(self, x: np.ndarray, eta: float, loss_row: Optional[int],
             gmap_row: Optional[int]) -> None:
@@ -205,33 +207,34 @@ class _MetricColumns:
         nothing is kept."""
         if loss_row is None and gmap_row is None:
             return
-        self._columns.append((x.copy(), loss_row, gmap_row))
-        if len(self._columns) >= _METRIC_BLOCK:
+        self._iterates[len(self._rows)] = x
+        self._rows.append((loss_row, gmap_row))
+        if len(self._rows) >= _METRIC_BLOCK:
             self.flush(eta)
 
     def flush(self, eta: float) -> None:
         """Evaluate every buffered column at ``eta`` with one
         ``loss_and_grads`` call; a column that feeds no gradient mapping
         asks for no gradient."""
-        columns, self._columns = self._columns, []
-        if not columns:
+        rows, self._rows = self._rows, []
+        if not rows:
             return
-        # row j is column j's iterate, so the block X = stacked.T is
-        # column-major and a dense GEMM column rounds the same at any block
-        # width; a single iterate goes in twice, as a one-column product
-        # takes the matrix-vector path, which rounds differently
-        xs = [x for x, _, _ in columns]
-        stacked = np.array(xs if len(xs) > 1 else xs * 2)
-        mapped = [j for j, (_, _, gmap_row) in enumerate(columns)
+        # the block X = iterates.T is column-major, so a dense GEMM column
+        # rounds the same at any block width; a single iterate goes in
+        # twice, as a one-column product takes the matrix-vector path,
+        # which rounds differently
+        if len(rows) == 1:
+            self._iterates[1] = self._iterates[0]
+        iterates = self._iterates[:max(len(rows), 2)]
+        mapped = [j for j, (_, gmap_row) in enumerate(rows)
                   if gmap_row is not None]
-        losses, grads = self.problem.loss_and_grads(stacked.T, mapped)
-        for (_, loss_row, _), loss in zip(columns, losses):
+        losses, grads = self.problem.loss_and_grads(iterates.T, mapped)
+        for (loss_row, _), loss in zip(rows, losses):
             if loss_row is not None:
                 self.losses[loss_row] = loss
         for i, j in enumerate(mapped):
-            x, _, gmap_row = columns[j]
-            self.gmaps[gmap_row] = gradient_mapping_norm(
-                self.problem, x, eta, grads[:, i])
+            self.gmaps[rows[j][1]] = gradient_mapping_norm(
+                self.problem, iterates[j], eta, grads[:, i])
 
 
 def make_streams(seed: int, n_workers: int):

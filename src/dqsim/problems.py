@@ -23,6 +23,13 @@ two points), whose products on CSR are weighted ``np.bincount`` calls. All
 sum each output in the same order, so they give the same bits. The logistic
 kernels use only those products; the MLP reads the stored matrix directly.
 
+The set-up holds one copy of the features plus one row block of
+``_ROW_BLOCK_BYTES``: ``synth_dataset`` shifts its margins in place and
+``Dataset.row_norms_sq`` squares a dense matrix a row block at a time, each
+with the bits of the whole-array pass. The MLP's passes run their bias
+adds, ReLU, shift and ``exp`` in place, so they hold one rows x hidden
+array and the ReLU's mask.
+
 The full-data values have one method, ``loss_and_grads``: the objective at
 each column of a block of iterates and the full gradient at the columns
 asked for. The metrics and the set-up oracle both use it. By default it
@@ -165,10 +172,16 @@ class Dataset:
         return RowBatch(None, entries, self.d)
 
     def row_norms_sq(self) -> np.ndarray:
-        """Each row's squared norm, summed in column order from zero."""
+        """Each row's squared norm, summed in column order from zero. Dense
+        storage squares one block of rows at a time into one scratch block."""
         if self._dense is not None:
-            sq = np.square(self._dense)
-            return np.cumsum(sq, axis=1, out=sq)[:, -1].copy()
+            out = np.empty(self.n)
+            sq = np.empty((min(self.n, _block_rows(self.d)), self.d))
+            for rows in _row_blocks(self.n, self.d):
+                block = sq[:rows.stop - rows.start]
+                np.square(self._dense[rows], out=block)
+                out[rows] = np.cumsum(block, axis=1, out=block)[:, -1]
+            return out
         A = self._csr if self._csr.has_canonical_format else self._csr.copy()
         A.sum_duplicates()  # a no-op on sorted rows without repeats
         sq = type(A)((np.square(A.data), A.indices, A.indptr), shape=A.shape)
@@ -200,6 +213,18 @@ class RowBatch:
 
 
 _TRANSPOSE_SLICE = 1024  # rows of the n x K side copied at a time
+_ROW_BLOCK_BYTES = 1 << 21  # a row block of a full-data pass over a dense X
+
+
+def _block_rows(d: int) -> int:
+    """Rows of d float64 values in one row block: at least one."""
+    return max(1, _ROW_BLOCK_BYTES // (8 * d))
+
+
+def _row_blocks(n: int, d: int):
+    """The row slices that cover n rows of d values, one block each."""
+    step = _block_rows(d)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _transposed(M: np.ndarray) -> np.ndarray:
@@ -446,16 +471,21 @@ class MLPProblem(CompositeProblem):
         return [p.reshape(s) for p, s in zip(parts, self._shapes)]
 
     def _forward(self, X: np.ndarray, x: np.ndarray):
+        """The hidden activations and the shifted logits with their log
+        partition. The bias adds, the ReLU and the shift run in place, so
+        the pass holds one rows x hidden array."""
         w1, b1, w2, b2 = self._unpack(x)
-        z1 = X @ w1.T + b1
-        a1 = np.maximum(z1, 0.0)
-        logits = a1 @ w2.T + b2
-        logits = logits - logits.max(axis=1, keepdims=True)
+        a1 = X @ w1.T
+        a1 += b1
+        np.maximum(a1, 0.0, out=a1)
+        logits = a1 @ w2.T
+        logits += b2
+        logits -= logits.max(axis=1, keepdims=True)
         log_z = np.log(np.sum(np.exp(logits), axis=1))
-        return z1, a1, logits, log_z
+        return a1, logits, log_z
 
     def f_value(self, x: np.ndarray) -> float:
-        _, _, logits, log_z = self._forward(self._X, x)
+        _, logits, log_z = self._forward(self._X, x)
         picked = logits[np.arange(self.n), self.targets]
         return float(np.mean(log_z - picked)) + 0.5 * self.lambda2 * float(x @ x)
 
@@ -465,14 +495,18 @@ class MLPProblem(CompositeProblem):
     def _grad_rows(self, rows: np.ndarray, targets: np.ndarray,
                    x: np.ndarray) -> np.ndarray:
         """Sum over the given rows of per-sample loss gradients plus
-        count * lambda2 * x."""
+        count * lambda2 * x. A ReLU passes the gradient where its output
+        is positive, which is where its input is."""
         w1, b1, w2, b2 = self._unpack(x)
-        z1, a1, logits, log_z = self._forward(rows, x)
-        probs = np.exp(logits - log_z[:, None])
+        a1, logits, log_z = self._forward(rows, x)
+        logits -= log_z[:, None]
+        probs = np.exp(logits, out=logits)
         probs[np.arange(rows.shape[0]), targets] -= 1.0
         g_w2 = probs.T @ a1
         g_b2 = probs.sum(axis=0)
-        back = (probs @ w2) * (z1 > 0.0)
+        active = a1 > 0.0
+        back = np.matmul(probs, w2, out=a1)  # a1 is read no more
+        back *= active
         g_w1 = back.T @ rows
         g_b1 = back.sum(axis=0)
         flat = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
@@ -483,7 +517,9 @@ class MLPProblem(CompositeProblem):
         return self._grad_rows(self._X[idx], self.targets[idx], x) / idx.size
 
     def grad_range_sum(self, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
-        return self._grad_rows(self._X[lo:hi], self.targets[lo:hi], x)
+        # all rows read the stored matrix itself: a CSR slice is a copy
+        rows = self._X if (lo, hi) == (0, self.n) else self._X[lo:hi]
+        return self._grad_rows(rows, self.targets[lo:hi], x)
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
         return v
@@ -603,8 +639,9 @@ def synth_dataset(n: int, d: int, seed: int, flip_prob: float = 0.0,
     w = rng.normal(size=d)
     w /= np.linalg.norm(w)
     signs = np.where(X @ w >= 0, 1.0, -1.0)
-    if margin > 0.0:
-        X = X + margin * signs[:, None] * w
+    if margin > 0.0:  # in place, so the set-up holds X and one row block
+        for rows in _row_blocks(n, d):
+            X[rows] += margin * signs[rows, None] * w
     labels = signs.copy()
     if flip_prob > 0.0:
         flips = rng.random(n) < flip_prob

@@ -123,6 +123,79 @@ def loss_and_grads_by_columns(problem, X: np.ndarray, grad_cols: list[int]):
     return losses, (S + problem.n * problem.lambda2 * X[:, grad_cols]) / problem.n
 
 
+def synth_dataset_whole(n: int, d: int, seed: int, flip_prob: float = 0.0,
+                        margin: float = 0.1):
+    """``synth_dataset``'s features and labels with the margin shift applied
+    to the whole matrix at once, as two new n x d arrays."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD5)))
+    X = rng.normal(0.0, 1.0 / np.sqrt(d), size=(n, d))
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    signs = np.where(X @ w >= 0, 1.0, -1.0)
+    if margin > 0.0:
+        X = X + margin * signs[:, None] * w
+    labels = signs.copy()
+    if flip_prob > 0.0:
+        labels[rng.random(n) < flip_prob] *= -1.0
+    return X, labels
+
+
+def row_norms_sq_whole(X: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, summed in column order from zero, from one
+    n x d array of squares."""
+    sq = np.square(X)
+    return np.cumsum(sq, axis=1, out=sq)[:, -1].copy()
+
+
+def _mlp_forward_whole(problem, X, x):
+    """The network's forward pass with a new array per operation."""
+    w1, b1, w2, b2 = problem._unpack(x)
+    z1 = X @ w1.T + b1
+    a1 = np.maximum(z1, 0.0)
+    logits = a1 @ w2.T + b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.sum(np.exp(logits), axis=1))
+    return z1, a1, logits, log_z
+
+
+def mlp_objective_whole(problem, x: np.ndarray) -> float:
+    """``MLPProblem.objective`` with a new array per operation."""
+    X = problem.data.matrix
+    _, _, logits, log_z = _mlp_forward_whole(problem, X, x)
+    picked = logits[np.arange(problem.n), problem.targets]
+    f = float(np.mean(log_z - picked)) + 0.5 * problem.lambda2 * float(x @ x)
+    return f + 0.0  # h = 0
+
+
+def mlp_grad_rows_whole(problem, rows, targets, x: np.ndarray) -> np.ndarray:
+    """``MLPProblem``'s summed gradient over ``rows`` with a new array per
+    operation and the ReLU mask taken from its input."""
+    _, _, w2, _ = problem._unpack(x)
+    z1, a1, logits, log_z = _mlp_forward_whole(problem, rows, x)
+    probs = np.exp(logits - log_z[:, None])
+    probs[np.arange(rows.shape[0]), targets] -= 1.0
+    g_w2 = probs.T @ a1
+    g_b2 = probs.sum(axis=0)
+    back = (probs @ w2) * (z1 > 0.0)
+    g_w1 = back.T @ rows
+    g_b1 = back.sum(axis=0)
+    flat = np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2])
+    return flat + rows.shape[0] * problem.lambda2 * x
+
+
+def metric_block_stacked(problem, xs, eta: float, gmap_cols: list[int]):
+    """One metric block from kept copies of the iterates stacked into a new
+    array, a lone iterate twice: (losses, gradient mappings at
+    ``gmap_cols``)."""
+    from dqsim.problems import gradient_mapping_norm
+
+    stacked = np.array(xs if len(xs) > 1 else xs * 2)
+    losses, grads = problem.loss_and_grads(stacked.T, gmap_cols)
+    gmaps = [gradient_mapping_norm(problem, xs[j], eta, grads[:, i])
+             for i, j in enumerate(gmap_cols)]
+    return losses[:len(xs)], gmaps
+
+
 def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
                        box: float | None = None, tol: float = 1e-10) -> float:
     """Ternary search for argmin_y lambda1*|y| + (y - value)^2 / (2 eta).

@@ -425,7 +425,7 @@ def test_criterion_11_mlp_gradient_check():
         i = int(rng.integers(0, prob.n))
 
         def f_i(z, i=i):
-            _, _, logits, log_z = prob._forward(prob._X[i:i + 1], z)
+            _, logits, log_z = prob._forward(prob._X[i:i + 1], z)
             return float(log_z[0] - logits[0, prob.targets[i]]) + \
                 0.5 * prob.lambda2 * float(z @ z)
 

@@ -82,3 +82,23 @@ def test_missing_config_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("dqsim: error: ") and str(missing) in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algo", ["asylpg", "asyfpg"])
+def test_divergent_run_is_one_error_line(tmp_path, capsys, algo):
+    # at eta 1e6 the iterates overflow binary32: a quantized model message
+    # fails to pack its scale, a full-precision one its values
+    cfg = {
+        "problem": {"kind": "synth_logistic", "n": 200, "d": 20, "seed": 1},
+        "algo": {"algo": algo, "eta": 1e6, "epochs": 2, "m": 10},
+        "workers": {"count": 2},
+        "run": {"loss_target": None},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["run", "--config", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dqsim: error: ")
+    assert captured.err.count("\n") == 1

@@ -22,7 +22,7 @@ from dqsim.harness import (
     run_experiment,
 )
 from dqsim.optim import AlgoConfig
-from dqsim.problems import CompositeProblem
+from dqsim.problems import CompositeProblem, LogisticProblem
 from dqsim.simnet import FixedLatency, GeometricLatency, UniformLatency
 
 BASE = {
@@ -542,3 +542,21 @@ class TestCompareSuite:
             [r["bits_to_target"] for r in parallel["table"]]
         assert [r.to_dict() for r in serial["reports"]] == \
             [r.to_dict() for r in parallel["reports"]]
+
+    def test_problem_goes_to_each_worker_process_once(self, monkeypatch):
+        # four configs on two processes: a problem sent with every task is
+        # pickled four times, one sent with each process at most twice
+        pickles = []
+
+        def counted_getstate(problem):
+            pickles.append(type(problem).__name__)
+            return problem.__dict__
+
+        monkeypatch.setattr(LogisticProblem, "__getstate__", counted_getstate,
+                            raising=False)
+        monkeypatch.setenv("DQSIM_THREADS", "2")
+        configs = self.make_configs(["asyfpg", "asylpg", "qsvrg",
+                                     "sparse_asylpg"])
+        parallel = compare_suite(configs, loss_target=0.62)
+        assert len(parallel["reports"]) == 4
+        assert len(pickles) <= 2

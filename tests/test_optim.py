@@ -36,7 +36,8 @@ from dqsim.quantizer import (
 )
 from dqsim.simnet import UniformLatency, WorkerSpec
 
-from oracles import as_csr, grad_sample, serial_prox_svrg
+from oracles import (as_csr, grad_sample, metric_block_stacked,
+                     serial_prox_svrg)
 
 
 def rng_of(seed=0):
@@ -416,7 +417,8 @@ class TestAccelerated:
             if args[0] == 0:
                 snapshots.append(args[2])
 
-        record(prob, "loss_and_grads", lambda args, _: xs.extend(args[0].T))
+        record(prob, "loss_and_grads",
+               lambda args, _: xs.extend(args[0].T.copy()))
         record(prob, "prox", lambda args, y: ys.append(y))
         record(prob, "grad_range_sum", keep_snapshot)
         run_training(prob, cfg, workers)
@@ -433,7 +435,8 @@ class TestAccelerated:
         cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=2, m=3, eta=0.1,
                          b_x=32, b=32, track_grad_mapping=False)
         xs = []
-        record(prob, "loss_and_grads", lambda args, _: xs.extend(args[0].T))
+        record(prob, "loss_and_grads",
+               lambda args, _: xs.extend(args[0].T.copy()))
         res = run_training(prob, cfg, x0=np.array([1.0, -2.0]))
         assert len(xs) == 6
         np.testing.assert_allclose(res.output, np.mean(xs[-3:], axis=0),
@@ -632,6 +635,35 @@ class TestMetricColumns:
         columns.flush(eta)
         return list(zip(columns.losses, columns.gmaps))
 
+    @pytest.mark.parametrize("width", [1, 2, 32, 33])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_buffer_keeps_the_stacked_copy_bits(self, width, storage):
+        # 33 columns are a full block and then a lone column, written over
+        # the first block's iterates
+        data = synth_dataset(300, 40, 5)
+        prob = logistic_problem(as_csr(data) if storage == "csr" else data,
+                                0.02, 1e-3)
+        rng = rng_of(8)
+        xs = [rng.normal(scale=0.2, size=prob.d) for _ in range(width)]
+        eta = 0.3
+        columns = optim._MetricColumns(prob, width)
+        for j, x in enumerate(xs):
+            x = x.copy()
+            columns.add(x, eta, j, j if j % 3 else None)
+            x[:] = np.inf  # the column keeps the iterate as it was added
+        columns.flush(eta)
+        losses, gmaps = [], [None] * width
+        for lo in range(0, width, optim._METRIC_BLOCK):
+            block = xs[lo:lo + optim._METRIC_BLOCK]
+            mapped = [j for j in range(len(block)) if (lo + j) % 3]
+            block_losses, block_gmaps = metric_block_stacked(
+                prob, block, eta, mapped)
+            losses += block_losses
+            for j, gmap in zip(mapped, block_gmaps):
+                gmaps[lo + j] = gmap
+        assert columns.losses == losses
+        assert columns.gmaps == gmaps
+
     @pytest.mark.parametrize("width", [1, 2, 7])
     @pytest.mark.parametrize("box", [None, 0.05])
     def test_block_matches_per_iterate_calls(self, width, box):
@@ -729,8 +761,8 @@ class TestMetricColumns:
 
         def counted_flush(self, eta):
             before = len(columns)
-            mapped = sum(gmap_row is not None for _, _, gmap_row in self._columns)
-            loss_only = len(self._columns) - mapped
+            mapped = sum(gmap_row is not None for _, gmap_row in self._rows)
+            loss_only = len(self._rows) - mapped
             inner_flush(self, eta)
             blocks.append((loss_only, mapped, sum(columns[before:])))
 

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dqsim import problems
 from dqsim.problems import (
     CompositeProblem,
     Dataset,
@@ -21,7 +23,9 @@ from dqsim.problems import (
 )
 
 from oracles import (as_csr, csr_dot, csr_tdot, finite_diff_grad, grad_sample,
-                     loss_and_grads_by_columns, prox_bruteforce)
+                     loss_and_grads_by_columns, mlp_grad_rows_whole,
+                     mlp_objective_whole, prox_bruteforce, row_norms_sq_whole,
+                     synth_dataset_whole)
 
 
 def rng_of(seed=0):
@@ -646,7 +650,7 @@ class TestMLP:
             i = int(rng.integers(0, prob.n))
 
             def f_i(z, i=i):
-                _, _, logits, log_z = prob._forward(prob._X[i:i + 1], z)
+                _, logits, log_z = prob._forward(prob._X[i:i + 1], z)
                 picked = logits[0, prob.targets[i]]
                 return float(log_z[0] - picked) + 0.5 * prob.lambda2 * float(z @ z)
 
@@ -709,3 +713,71 @@ class TestMLP:
         assert csr[0] == pytest.approx(dense[0], rel=1e-12)
         for got, want in zip(csr[1:], dense[1:]):
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("block_bytes,d", [(None, 300), (8 * 5 * 3, 5), (1, 5)],
+                         ids=["default", "3-rows", "1-row"])
+@pytest.mark.parametrize("flip_prob", [0.0, 0.3])
+def test_row_blocks_keep_the_whole_array_bits(block_bytes, d, flip_prob,
+                                              monkeypatch):
+    # the margin shift and the squared row norms go one row block at a
+    # time; sizes around the block height B meet every partial block
+    if block_bytes is not None:
+        monkeypatch.setattr(problems, "_ROW_BLOCK_BYTES", block_bytes)
+    B = problems._block_rows(d)
+    for n in (1, B - 1, B, B + 1, 2 * B + 3):
+        if n < 1:
+            continue
+        data = synth_dataset(n, d, seed=n, flip_prob=flip_prob)
+        X, labels = synth_dataset_whole(n, d, seed=n, flip_prob=flip_prob)
+        assert data.matrix.tobytes() == X.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        assert data.row_norms_sq().tobytes() == row_norms_sq_whole(X).tobytes()
+
+
+def test_mlp_in_place_passes_keep_the_whole_array_bits(storage):
+    data = stored_as(storage, synth_multiclass_dataset(120, 9, 4, 3))
+    prob = mlp_problem(data, hidden=16, lambda2=1e-3, init_seed=1)
+    A, targets = data.matrix, prob.targets
+    x0 = prob.initial_point()
+    idx = np.array([5, 0, 5, 119])
+    for x in (x0, x0 + rng_of(21).normal(scale=0.3, size=prob.d)):
+        assert prob.objective(x) == mlp_objective_whole(prob, x)
+        want = mlp_grad_rows_whole(prob, A, targets, x) / prob.n
+        assert prob.full_grad(x).tobytes() == want.tobytes()
+        want = mlp_grad_rows_whole(prob, A[7:60], targets[7:60], x)
+        assert prob.grad_range_sum(7, 60, x).tobytes() == want.tobytes()
+        want = mlp_grad_rows_whole(prob, A[idx], targets[idx], x) / idx.size
+        assert prob.grad_batch(idx, x).tobytes() == want.tobytes()
+
+
+class TestFullDataMemory:
+    """tracemalloc counts numpy's array allocations, so a traced peak is
+    what a full-data pass allocates, its inputs made before it aside."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_logistic_set_up_holds_one_copy_and_a_row_block(self):
+        # many row blocks of 300 columns; a whole-array margin shift holds
+        # three n x d arrays at once, a whole-array square two
+        prob, peak = self.traced_peak(lambda: logistic_problem(
+            synth_dataset(16000, 300, seed=1), 1e-5, 1e-4))
+        assert len(problems._row_blocks(16000, 300)) >= 10
+        assert peak < 1.25 * prob.data.matrix.nbytes
+
+    def test_mlp_passes_hold_one_hidden_array(self):
+        # one rows x hidden array of float64 plus the ReLU's boolean mask;
+        # a new array per operation holds about four
+        n, hidden = 4000, 200
+        prob = mlp_problem(synth_multiclass_dataset(n, 20, 3, 1),
+                           hidden=hidden, init_seed=1)
+        x = prob.initial_point()
+        for kernel in (prob.full_grad, prob.objective):
+            _, peak = self.traced_peak(lambda: kernel(x))
+            assert peak < 1.5 * n * hidden * 8
