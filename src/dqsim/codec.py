@@ -172,19 +172,24 @@ def _pack_message(kind: MessageKind, content: Content) -> bytes:
     return bytes([_TAGS[kind]]) + body
 
 
-def _check_sendable(grid: QuantGrid) -> None:
-    """Codes must fit the wire's width and the scale must fit binary32
-    (``struct.pack`` raises ``OverflowError`` past it)."""
+def _check_sendable(kind: MessageKind, grid: QuantGrid) -> None:
+    """Codes must fit the wire's width and the scale must fit binary32: a
+    scale that ``struct.pack`` cannot pack raises ``OverflowError`` naming
+    the message kind and the scale."""
     if grid.bits > FULL_PRECISION_BITS:
         raise ValueError(
             f"cannot encode codes wider than {FULL_PRECISION_BITS} bits, got {grid.bits}"
         )
-    struct.pack(">f", grid.delta)
+    try:
+        struct.pack(">f", grid.delta)
+    except OverflowError:
+        raise OverflowError(f"{kind.value} message scale {grid.delta!r} "
+                            "too large for binary32") from None
 
 
 def encode_dense(q: LowPrecisionVector) -> WireMessage:
     """Dense quantized vector: 32 + b*d counted bits."""
-    _check_sendable(q.grid)
+    _check_sendable(MessageKind.DENSE, q.grid)
     return WireMessage(MessageKind.DENSE, dense_bits(q.dim, q.grid.bits), q)
 
 
@@ -194,7 +199,7 @@ def encode_sparse(q: SparseLowPrecisionVector) -> WireMessage:
     The explicit entry count travels physically but is folded into the 32-bit
     header for accounting, so counted cost matches the closed formula.
     """
-    _check_sendable(q.grid)
+    _check_sendable(MessageKind.SPARSE, q.grid)
     return WireMessage(MessageKind.SPARSE, sparse_bits(q.dim, q.nnz, q.grid.bits), q)
 
 

@@ -17,11 +17,20 @@ a libsvm file of any size loads it. ``Dataset.dot`` and ``Dataset.tdot``
 take a row slice: the whole matrix or a row range (the metrics, the set-up
 oracle and the epoch barrier), on CSR through scipy's compiled
 ``csr_matvec``/``csc_matvec`` or, on a block of columns,
-``csr_matvecs``/``csc_matvecs``. An index batch of rows is gathered once
-through ``Dataset.gather`` (a worker's ``grad_batch_diff`` makes one for its
-two points), whose products on CSR are weighted ``np.bincount`` calls. All
-sum each output in the same order, so they give the same bits. The logistic
-kernels use only those products; the MLP reads the stored matrix directly.
+``csr_matvecs``/``csc_matvecs``; a row range multiplies only its rows,
+through a CSR array over views of their entries. An index batch of rows is
+gathered once through ``Dataset.gather`` (a worker's ``grad_batch_diff``
+makes one for its two points), whose products on CSR are weighted
+``np.bincount`` calls. All sum each output in the same order, so they give
+the same bits. The logistic kernels use only those products; the MLP reads
+the stored matrix directly.
+
+``load_libsvm`` reads a file a block of whole lines at a time
+(``_BLOCK_BYTES``) and parses each block by whole-array passes, every
+number of it by one call of numpy's C text parser, so it makes no Python
+object per token and holds one block's temporaries beside the typed
+buffers it returns. Its line-by-line reference is
+``tests/oracles.py:load_libsvm_lines``.
 
 The set-up holds one copy of the features plus one row block of
 ``_ROW_BLOCK_BYTES``: ``synth_dataset`` shifts its margins in place and
@@ -69,16 +78,17 @@ class Dataset:
     """A matrix with one label per row, stored once in the storage of its
     input: CSR arrays as a scipy CSR array, ``from_dense`` as the dense
     array. Neither is converted to the other. The CSR array wraps the input
-    arrays without copying them: they are its ``indptr``, ``indices`` and
-    ``values``, which a dense-stored dataset does not have. A gathered batch
-    of rows takes the ``bincount``, as scipy's fancy row indexing copies the
-    rows first and measured 3-4.5x slower at 50 rows.
+    arrays without copying them, a strided one made contiguous: they are
+    its ``indptr``, ``indices`` and ``values``, which a dense-stored
+    dataset does not have. A gathered batch of rows takes the ``bincount``,
+    as scipy's fancy row indexing copies the rows first and measured
+    3-4.5x slower at 50 rows.
     """
 
     def __init__(self, indptr, indices, values, labels, d: int):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         n, d = np.size(labels), int(d)
         if indptr.shape != (n + 1,):
             raise ValueError("indptr length must be n + 1")
@@ -129,12 +139,13 @@ class Dataset:
         return self._dense if self._dense is not None else self._csr.toarray()
 
     def dot(self, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """A[rows] @ x for a row slice ``rows`` (the default is the whole
-        matrix) and a vector or d x K block ``x``. On CSR a row range slices
-        ``A @ x``. An index batch of rows goes through ``gather``."""
+        """A[rows] @ x for a unit-step row slice ``rows`` (the default is
+        the whole matrix) and a vector or d x K block ``x``. On CSR a row
+        range multiplies only its rows. An index batch of rows goes through
+        ``gather``."""
         if self._dense is not None:
             return self._dense[rows] @ x
-        return (self._csr @ x)[rows]
+        return self._csr_rows(rows) @ x
 
     def tdot(self, w: np.ndarray, rows: slice = slice(None),
              cols=None) -> np.ndarray:
@@ -142,18 +153,33 @@ class Dataset:
         n x K block as in ``dot``. ``cols`` picks columns of a block. Dense
         storage multiplies the whole block, as a narrower GEMM rounds
         differently, and picks the columns after. CSR multiplies only those,
-        each with the bits of its vector product, and a row range as the
-        whole transpose times ``w`` placed in zeros at the range."""
+        each with the bits of its vector product, and only the range's
+        rows, with the bits of the whole transpose times ``w`` placed in
+        zeros at the range: a sum from +0 never reaches -0, so the zeros
+        change no bit."""
         if self._dense is not None:
             out = self._dense[rows].T @ w
             return out if cols is None else out[:, cols]
         if cols is not None:
             w = w[:, cols]
-        if range(*rows.indices(self.n)) != range(self.n):  # else no copy
-            full = np.zeros((self.n,) + w.shape[1:])
-            full[rows] = w
-            w = full
-        return self._csr.T @ w  # .T is a CSC view, no copy
+        return self._csr_rows(rows).T @ w  # .T is a CSC view, no copy
+
+    def _csr_rows(self, rows: slice):
+        """A[rows] on CSR storage for a unit-step row slice: the stored
+        array, or a CSR array over views of the range's entries and a
+        rebased ``indptr``, where scipy's row slicing copies the entries.
+        Each view is made through a ``memoryview``, so that its base is the
+        range itself: scipy copies a view of less than half its base."""
+        lo, hi, step = rows.indices(self.n)
+        if step != 1:
+            raise ValueError("row slices must have unit step")
+        if (lo, hi) == (0, self.n):
+            return self._csr
+        ptr = self.indptr[lo:max(lo, hi) + 1]
+        values, indices = (np.frombuffer(a.data[ptr[0]:ptr[-1]], dtype=a.dtype)
+                           for a in (self.values, self.indices))
+        return type(self._csr)((values, indices, ptr - ptr[0]),
+                               shape=(ptr.size - 1, self.d))
 
     def gather(self, rows) -> "RowBatch":
         """A[rows] for an array of row indices, repeats allowed, gathered
@@ -555,38 +581,138 @@ def gradient_mapping_norm(problem: CompositeProblem, x: np.ndarray,
     return float(g @ g)
 
 
+_BLOCK_BYTES = 1 << 17  # bytes of a libsvm file parsed at a time
+
+# What each byte is to the libsvm parser, as a ``bytes.translate`` table:
+# the position of the group that holds it, 0 for a byte no number or
+# separator holds (non-ASCII among them). The groups are the token
+# separators (what ``str.split`` splits on within a line), the line ends,
+# the colon, the decimal digits and signs, and the other characters of a
+# float literal, ``nan`` and ``inf(inity)``.
+_OTHER, _SPACE, _EOL, _COLON, _DIGIT, _FLOAT = range(6)
+_BYTE_GROUPS = (b"", b" \t\x0b\x0c\x1c\x1d\x1e\x1f", b"\n\r", b":",
+                b"0123456789+-", b".eEnNaAiIfFtTyY")
+_BYTE_CLASS = bytes(
+    max((k for k, group in enumerate(_BYTE_GROUPS) if c in group), default=_OTHER)
+    for c in range(256))
+
+# numpy's parser splits numbers on C's whitespace; this adds the rest
+_TO_SPACES = bytes.maketrans(b":\x1c\x1d\x1e\x1f", b"     ")
+
+
+def _line_blocks(fh):
+    """The bytes of a binary file in blocks of whole lines, about
+    ``_BLOCK_BYTES`` each, cut after a line end (``\\n``, ``\\r\\n`` or a
+    lone ``\\r``, as text mode reads them); the last block may lack one."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        # a final \r may be the first half of \r\n, so no cut goes after it
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
+        if cut:
+            block, rest = rest + chunk[:cut], chunk[cut:]
+            del chunk  # one copy of the block is held while it is parsed
+            yield block
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _parse_lines(text: bytes):
+    """The rows of whole lines of libsvm text, by whole-array passes: their
+    labels, their feature counts, and their features' 0-based columns and
+    values, in file order. Raises ``ValueError`` naming what is wrong, but
+    not where, when a line is malformed."""
+    cls = np.frombuffer(text.translate(_BYTE_CLASS), dtype=np.uint8)
+    if not cls.all():
+        raise ValueError("a character outside the libsvm syntax")
+    in_token = np.zeros(cls.size + 2, dtype=bool)
+    np.greater_equal(cls, _COLON, out=in_token[1:-1])
+    bounds = np.flatnonzero(in_token[1:] != in_token[:-1])
+    starts, ends = bounds[::2], bounds[1::2]  # each token's first, last + 1
+    if not starts.size:  # numpy would read blank text as one number
+        none = np.empty(0, dtype=np.int64)
+        return np.empty(0), none, none, np.empty(0)
+    # a token is a label when a line end comes between it and the last
+    eols = np.flatnonzero(cls == _EOL)
+    is_label = np.diff(np.searchsorted(eols, starts), prepend=-1) != 0
+    is_feature = ~is_label
+    colons = np.flatnonzero(cls == _COLON)
+    # as many colons as features, the j-th inside the j-th feature with
+    # text on both sides: then each feature has one and no label has any
+    fstarts = starts[is_feature]
+    if (colons.size != fstarts.size or np.any(colons <= fstarts)
+            or np.any(colons >= ends[is_feature] - 1)):
+        raise ValueError("a feature is not index:value, or a label has a colon")
+    # the first float character at or after a feature comes after its colon
+    floats = np.append(np.flatnonzero(cls == _FLOAT), cls.size)
+    if np.any(floats[np.searchsorted(floats, fstarts)] < colons):
+        raise ValueError("an index is not a decimal integer")
+    try:
+        nums = np.fromstring(text.translate(_TO_SPACES), dtype=np.float64, sep=" ")
+    except ValueError:  # text numpy's parser cannot read: no numbers
+        nums = np.empty(0)
+    if nums.size != starts.size + colons.size:
+        raise ValueError("a label, index or value is not a number")
+    # a label is one number, a feature two: each token's first number
+    first = np.arange(starts.size) + np.cumsum(is_feature) - is_feature
+    at_index = first[is_feature]
+    labels, index = nums[first[is_label]], nums[at_index]
+    if np.any(index < 1):
+        raise ValueError("indices are 1-based")
+    big = index >= 2.0 ** 53  # past float64's exact integers: int() reads these
+    cols = np.where(big, 1.0, index).astype(np.int64) - 1
+    for k in np.flatnonzero(big):
+        cols[k] = int(text[fstarts[k]:colons[k]]) - 1
+    for k in np.flatnonzero(np.isnan(labels)):  # float() keeps a NaN's sign
+        lo, hi = starts[is_label][k], ends[is_label][k]
+        labels[k] = float(text[lo:hi])
+    counts = np.diff(np.flatnonzero(is_label), append=starts.size) - 1
+    return labels, counts, cols, nums[at_index + 1]
+
+
 def load_libsvm(path, d: int | None = None) -> Dataset:
     """Parse the sparse ``label index:value`` text format (1-based indices).
 
+    The file is read ``_BLOCK_BYTES`` of whole lines at a time, and each
+    block is parsed by a few whole-array numpy passes: its token bounds,
+    colons and line ends are found, each line's shape is checked, and every
+    number of the block is read by one call of numpy's C text parser, which
+    rounds correctly as ``float`` does. No Python object is made per token,
+    and the parser holds one block's temporaries next to the typed output
+    buffers, which the ``Dataset`` reads in place.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; tokens are split by
+    spaces, tabs and the other ASCII separators of ``str.split``, and blank
+    lines are skipped. The first token of a line is its label, a number;
+    every other token is ``index:value``, the index a decimal integer from 1,
+    as ``int`` reads it, the value a number. Numbers are ``float``'s
+    decimal literals, ``nan`` and ``inf``/``infinity`` included; Python-only
+    spellings (digit underscores, non-ASCII digits or spaces) are refused.
+    ``tests/oracles.py:load_libsvm_lines`` is the line-by-line reference.
+
     The dimension is the largest index seen unless ``d`` overrides it.
-    Malformed lines raise with their line number, and a file the
-    ``Dataset`` rejects (a NaN or infinite value, say) with its path. The
-    entries go into typed buffers, not lists of Python numbers, and the
-    ``Dataset`` reads them in place, so a large file never holds one Python
-    object per entry.
+    Malformed lines raise with the path and their line number, and a file
+    the ``Dataset`` rejects (a NaN or infinite value, say) with its path.
     """
     labels = array("d")
     indptr = array("q", [0])
     indices = array("q")
     values = array("d")
-    add_index, add_value = indices.append, values.append  # once per entry
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
+    lineno = 0  # lines before the block
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
             try:
-                labels.append(float(parts[0]))
-                for tok in parts[1:]:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    if idx < 1:
-                        raise ValueError("indices are 1-based")
-                    add_index(idx - 1)
-                    add_value(float(val_s))
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed line {lineno}: {exc}") from exc
-            indptr.append(len(indices))
+                row_labels, counts, cols, vals = _parse_lines(block)
+            except (ValueError, OverflowError) as exc:
+                raise _malformed(path, block, lineno) from exc
+            row_ends = np.cumsum(counts) + len(indices)
+            for out, part in ((labels, row_labels), (indptr, row_ends),
+                              (indices, cols), (values, vals)):
+                out.frombytes(part.view(np.uint8))
+            lineno += block.count(b"\n")
+            if b"\r" in block:
+                lineno += block.count(b"\r") - block.count(b"\r\n")
     if not labels:
         raise ValueError(f"{path}: empty dataset")
     cols = np.frombuffer(indices, dtype=np.int64)
@@ -601,6 +727,17 @@ def load_libsvm(path, d: int | None = None) -> Dataset:
                        np.frombuffer(labels, dtype=np.float64), d)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _malformed(path, block: bytes, lineno: int) -> ValueError:
+    """The error for a block that failed to parse, naming its first bad
+    line, found by parsing the block again a line at a time."""
+    for lineno, line in enumerate(block.splitlines(), start=lineno + 1):
+        try:
+            _parse_lines(line)
+        except (ValueError, OverflowError) as exc:
+            return ValueError(f"{path}: malformed line {lineno}: {exc}")
+    return ValueError(f"{path}: malformed lines up to {lineno}")
 
 
 def write_libsvm(path, data: Dataset) -> None:

@@ -8,6 +8,7 @@ is being checked against them.
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -290,3 +291,45 @@ def second_moment_expected(alpha, plan: SparsePlan) -> float:
     if np.any(nz & (plan.probs == 0.0)):
         raise ValueError("plan assigns zero probability to a nonzero coordinate")
     return float(np.sum(alpha[nz] ** 2 / plan.probs[nz]))
+
+
+def load_libsvm_lines(path, d: int | None = None) -> Dataset:
+    """``problems.load_libsvm`` as a line-by-line reader, the reference the
+    block parser is checked against: the file in text mode, each line's
+    tokens from ``str.split``, the label and values from ``float`` and the
+    indices from ``int``, one Python number per token."""
+    labels = array("d")
+    indptr = array("q", [0])
+    indices = array("q")
+    values = array("d")
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                labels.append(float(parts[0]))
+                for tok in parts[1:]:
+                    idx_s, val_s = tok.split(":", 1)
+                    idx = int(idx_s)
+                    if idx < 1:
+                        raise ValueError("indices are 1-based")
+                    indices.append(idx - 1)
+                    values.append(float(val_s))
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed line {lineno}: {exc}") from exc
+            indptr.append(len(indices))
+    if not labels:
+        raise ValueError(f"{path}: empty dataset")
+    cols = np.frombuffer(indices, dtype=np.int64)
+    if d is None:
+        d = int(cols.max()) + 1 if cols.size else 0
+    if d < 1:
+        raise ValueError(f"{path}: dataset has no features; "
+                         "pass an explicit dimension")
+    try:
+        return Dataset(np.frombuffer(indptr, dtype=np.int64), cols,
+                       np.frombuffer(values, dtype=np.float64),
+                       np.frombuffer(labels, dtype=np.float64), d)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

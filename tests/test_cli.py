@@ -84,10 +84,12 @@ def test_missing_config_is_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("algo", ["asylpg", "asyfpg"])
+@pytest.mark.parametrize("algo", ["asylpg", "asyfpg", "sparse_asylpg",
+                                  "acc_asylpg"])
 def test_divergent_run_is_one_error_line(tmp_path, capsys, algo):
     # at eta 1e6 the iterates overflow binary32: a quantized model message
-    # fails to pack its scale, a full-precision one its values
+    # fails to pack its scale, a full-precision one its values; either
+    # error says so
     cfg = {
         "problem": {"kind": "synth_logistic", "n": 200, "d": 20, "seed": 1},
         "algo": {"algo": algo, "eta": 1e6, "epochs": 2, "m": 10},
@@ -102,3 +104,4 @@ def test_divergent_run_is_one_error_line(tmp_path, capsys, algo):
     assert captured.out == ""
     assert captured.err.startswith("dqsim: error: ")
     assert captured.err.count("\n") == 1
+    assert "too large for binary32" in captured.err

@@ -206,9 +206,11 @@ class TestRoundtrips:
 
     def test_scale_beyond_binary32_overflows_at_encode(self):
         grid = QuantGrid(1e39, 4)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^quantized_dense message "
+                           "scale 1e[+]39 too large for binary32$"):
             encode_dense(LowPrecisionVector(grid, np.array([1, -1])))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="^quantized_sparse message "
+                           "scale 1e[+]39 too large for binary32$"):
             encode_sparse(SparseLowPrecisionVector(
                 grid, 8, np.array([2], dtype=np.int64), np.array([1], dtype=np.int64)
             ))

@@ -28,7 +28,8 @@ import pytest
 
 from dqsim.harness import figure_mu_trace, parse_config, run_experiment
 from dqsim.optim import Algorithm
-from dqsim.problems import Dataset, write_libsvm
+from dqsim.problems import Dataset, load_libsvm, write_libsvm
+from oracles import load_libsvm_lines
 
 _SYNTH = {"kind": "synth_logistic", "n": 300, "d": 20, "seed": 3,
           "flip_prob": 0.05, "lambda1": 1e-3, "lambda2": 1e-3}
@@ -266,9 +267,9 @@ def test_threads_reproduce_simulated_run(algo, tmp_path):
 
 
 def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
-    # the same on the CSR-stored libsvm case, where the barrier and the
-    # metrics take scipy's whole-matrix products and the workers the
-    # gathered bincount
+    # the same on the CSR-stored libsvm case, where the barrier takes
+    # scipy's row-range products, the metrics its whole-matrix ones and the
+    # workers the gathered bincount
     row_ranges = []
 
     def counted(data, x, *rows, inner=Dataset.dot):
@@ -282,6 +283,15 @@ def test_threads_reproduce_simulated_run_on_csr(tmp_path, monkeypatch):
         "sparse_asylpg", tmp_path, _problem_section("libsvm_csr", tmp_path))
     assert row_ranges
     assert threads == simulated
+
+
+def test_libsvm_case_loads_as_the_line_reference(tmp_path):
+    # the block parser reads the case's file to the reference's bytes
+    path = _problem_section("libsvm_csr", tmp_path)["path"]
+    got, want = load_libsvm(path), load_libsvm_lines(path)
+    assert got.d == want.d
+    for name in ("labels", "indptr", "indices", "values"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 if __name__ == "__main__":

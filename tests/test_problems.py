@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +25,8 @@ from dqsim.problems import (
 )
 
 from oracles import (as_csr, csr_dot, csr_tdot, finite_diff_grad, grad_sample,
-                     loss_and_grads_by_columns, mlp_grad_rows_whole,
+                     load_libsvm_lines, loss_and_grads_by_columns,
+                     mlp_grad_rows_whole,
                      mlp_objective_whole, prox_bruteforce, row_norms_sq_whole,
                      synth_dataset_whole)
 
@@ -237,6 +240,36 @@ def test_csr_products_match_bincount_reference():
             k = want.size
             got, want = tdot(w[:k]), csr_tdot(data, w[:k], rows_)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_csr_row_range_products_keep_the_whole_product_bits():
+    # a row range multiplies only its rows; its bits are those of the whole
+    # product sliced (dot) and of the whole transpose times the operand
+    # placed in zeros (tdot), at ranges with empty rows at their edges, an
+    # empty column and columns used only outside a range
+    rng = rng_of(23)
+    n, d = 120, 30
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.25)
+    X[[0, 39, 40, 79, 119]] = 0.0
+    X[:, 0] = 0.0
+    X[:40, 29] = 0.0
+    data = as_csr(Dataset.from_dense(X, np.ones(n)))
+    A = data.matrix
+    x, W = rng.normal(size=d), rng.normal(size=(n, 3))
+    W[45:50] = 0.0
+    for lo, hi in ((0, 40), (40, 80), (80, 120), (39, 41), (5, 5), (0, 120)):
+        rows = slice(lo, hi)
+        padded = np.zeros_like(W)
+        padded[rows] = -W[rows]
+        for got, want in (
+                (data.dot(x, rows), (A @ x)[rows]),
+                (data.dot(W[:d], rows), (A @ W[:d])[rows]),
+                (data.tdot(-W[rows, 0], rows), A.T @ padded[:, 0]),
+                (data.tdot(-W[rows], rows), A.T @ padded),
+                (data.tdot(-W[rows], rows, cols=[2, 0]), A.T @ padded[:, [2, 0]])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="unit step"):
+        data.dot(x, slice(0, n, 2))
 
 
 @pytest.mark.parametrize("width", [2, 7])
@@ -600,6 +633,155 @@ class TestLibsvm:
         np.testing.assert_array_equal(back.indptr, indptr)
         np.testing.assert_array_equal(back.indices, indices)
         np.testing.assert_array_equal(back.values, values)
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    """The two datasets hold the same arrays, byte for byte."""
+    assert got.d == want.d
+    for name in ("labels", "indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1f"]
+_LABELS = ["1", "-1", "0", "+1", "2.75", "-0.5", "1e0", "-0", "inf",
+           "nan", "-nan"]
+_VALUES = ["-0", "+2.5", ".5", "5.", "1E-3", "-1e+300", "0.000001",
+           "1234567890123456789"]
+
+
+def random_libsvm_text(rng, rows: int) -> str:
+    """Libsvm text the line-by-line reference reads: blank and
+    whitespace-only lines, every line end, mixed separators, label-only
+    rows, repeated and unsorted columns with signed or zero-padded indices,
+    and values in several spellings, shortest round-trip ``repr`` most."""
+    def pick(options):
+        return str(rng.choice(options))
+
+    lines = []
+    for _ in range(rows):
+        kind = rng.integers(6)  # 0 blank, 1 whitespace, 2 label only
+        if kind == 0:
+            line = ""
+        elif kind == 1:
+            line = pick(_SEPARATORS) + pick(_SEPARATORS)
+        else:
+            tokens = [pick(_LABELS)]
+            features = 0 if kind == 2 else rng.integers(1, 9)
+            for c in rng.integers(1, 40, size=features):
+                scale = 10.0 ** rng.integers(-8, 8)
+                value = (pick(_VALUES) if rng.random() < 0.3
+                         else repr(float(rng.normal(scale=scale))))
+                tokens.append(pick([f"{c}", f"+{c}", f"00{c}"]) + ":" + value)
+            line = pick(_SEPARATORS) if rng.random() < 0.5 else ""
+            line += "".join(tok + pick(_SEPARATORS) for tok in tokens)
+            line = line if rng.random() < 0.5 else line.rstrip()
+        lines.append(line + pick(["\n", "\r\n", "\r"]))
+    text = "".join(lines)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+@pytest.mark.parametrize("block_bytes", [None, 16, 100])
+@pytest.mark.parametrize("seed", range(6))
+def test_block_parser_matches_line_reference(tmp_path, monkeypatch, seed,
+                                             block_bytes):
+    # blocks of 16 bytes cut most lines' text over several reads
+    if block_bytes is not None:
+        monkeypatch.setattr(problems, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "r.svm"
+    path.write_bytes(random_libsvm_text(rng_of(seed), 120).encode())
+    assert_same_dataset(load_libsvm(path), load_libsvm_lines(path))
+    assert_same_dataset(load_libsvm(path, d=50), load_libsvm_lines(path, d=50))
+
+
+def lines_ending_at(positions, eol: str) -> str:
+    """Libsvm text whose lines end (the last byte of ``eol``) at each of the
+    given byte positions, at least 30 bytes apart, and one line after."""
+    text = ""
+    for pos in positions:
+        filler = "1 2:0.5 7:-1.25" + eol
+        text += filler * ((pos + 1 - len(text)) // len(filler) - 1)
+        text += "-1 3:2.5".ljust(pos + 1 - len(text) - len(eol)) + eol
+        assert len(text) == pos + 1
+    return text + "1 1:3"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_line_ends_at_block_boundaries(tmp_path, eol, offset):
+    # a read of _BLOCK_BYTES ends at byte B - 1; "at" puts a line end's
+    # last byte there, and a \r\n then straddles the boundary one byte on
+    B = problems._BLOCK_BYTES
+    path = tmp_path / "b.svm"
+    text = lines_ending_at([B - 1 + offset, 2 * B - 1 + offset], eol)
+    path.write_bytes(text.encode())
+    data = load_libsvm(path)
+    assert_same_dataset(data, load_libsvm_lines(path))
+    assert data.n == text.count(eol) + 1
+    # and the lines are counted across the boundaries
+    path.write_bytes((text + eol + "1 oops").encode())
+    with pytest.raises(ValueError, match=f"malformed line {data.n + 1}:"):
+        load_libsvm(path)
+
+
+@pytest.mark.parametrize("line", [
+    "1 2", "1 2:3:4", "1:2 3:4", "1 0:2", "1 3.0:1", "1 :5", "1 5:",
+    "1 5:2x", "x 1:2", "1 1:2 junk", "1 3 4:5:6", "1:2 3 4:5"],
+    ids=["no-colon", "two-colons", "colon-in-label", "index-0", "index-3.0",
+         "empty-index", "empty-value", "trailing-junk", "bad-label",
+         "junk-token", "colon-moved-on", "colon-moved-back"])
+@pytest.mark.parametrize("early", [True, False], ids=["line-3", "past-block"])
+def test_malformed_line_is_named(tmp_path, line, early):
+    # the reference rejects the line too, at the same number
+    good = "1 1:0.5 2:-0.25\n"
+    before = 2 if early else problems._BLOCK_BYTES // len(good) + 5
+    path = tmp_path / "m.svm"
+    path.write_text(good * before + line + "\n" + good * 3)
+    where = f"{path}: malformed line {before + 1}:"
+    for load in (load_libsvm_lines, load_libsvm):
+        with pytest.raises(ValueError, match=re.escape(where)):
+            load(path)
+
+
+@pytest.mark.parametrize("line", ["1 1_0:1", "1 1:2_5", "1_0 1:2",
+                                  "1 \u0663:1", "1\u00a01:2"],
+                         ids=["index-underscore", "value-underscore",
+                              "label-underscore", "arabic-digit",
+                              "no-break-space"])
+def test_python_only_spellings_are_refused_with_their_line(tmp_path, line):
+    # int() and float() read these, numpy's parser does not
+    path = tmp_path / "p.svm"
+    path.write_text(f"1 1:1\n{line}\n", encoding="utf-8")
+    load_libsvm_lines(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: malformed line 2:")):
+        load_libsvm(path)
+
+
+def test_huge_indices_and_nan_labels_keep_the_reference_bits(tmp_path):
+    # indices past 2**53 are read exactly, as int() reads them, and a NaN
+    # label keeps its sign; an index past int64 is a malformed line
+    path = tmp_path / "h.svm"
+    path.write_text("-nan 9007199254740993:1\nnan 1:2\n")
+    assert_same_dataset(load_libsvm(path), load_libsvm_lines(path))
+    assert np.signbit(load_libsvm(path).labels).tolist() == [True, False]
+    path.write_text("1 1:1\n1 9223372036854775809:1\n")
+    with pytest.raises(ValueError, match="malformed line 2"):
+        load_libsvm(path)
+
+
+def test_benchmark_input_loads_as_the_line_reference(tmp_path, monkeypatch):
+    # the logreg_csr workload's file, seed 1, at its full size
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclass
+    spec.loader.exec_module(workloads)
+    path = workloads.write_libsvm_input(
+        tmp_path, 1, *workloads.WORKLOADS["logreg_csr"].libsvm)
+    assert_same_dataset(load_libsvm(path), load_libsvm_lines(path))
 
 
 class TestSynth:
