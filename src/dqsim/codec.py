@@ -261,7 +261,8 @@ class LedgerRow:
 
 
 class BitLedger:
-    """Cumulative transmitted-bit accounting, split by direction and kind.
+    """Cumulative transmitted-bit totals by direction, and one row per
+    record with its kind.
 
     Single-owner mutable state: only the simulation event loop appends.
     """
@@ -269,7 +270,6 @@ class BitLedger:
     def __init__(self):
         self.up_bits = 0
         self.down_bits = 0
-        self.per_kind: dict[str, tuple[int, int]] = {}
         self.rows: list[LedgerRow] = []
 
     @property
@@ -283,8 +283,6 @@ class BitLedger:
             self.down_bits += bits
         else:
             raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-        count, total = self.per_kind.get(kind, (0, 0))
-        self.per_kind[kind] = (count + 1, total + bits)
         self.rows.append(LedgerRow(step, direction, kind, bits, self.total_bits))
 
     def record_message(self, step: int, direction: str, msg: WireMessage) -> None:

@@ -69,7 +69,6 @@ __all__ = [
     "gradient_mapping_norm",
     "soft_threshold",
     "load_libsvm",
-    "write_libsvm",
     "synth_dataset",
     "synth_multiclass_dataset",
 ]
@@ -133,10 +132,6 @@ class Dataset:
     def matrix(self):
         """The stored matrix: the dense array or the scipy CSR array."""
         return self._csr if self._dense is None else self._dense
-
-    def dense(self) -> np.ndarray:
-        """The matrix as a dense array, a new one on CSR storage."""
-        return self._dense if self._dense is not None else self._csr.toarray()
 
     def dot(self, x: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """A[rows] @ x for a unit-step row slice ``rows`` (the default is
@@ -352,7 +347,7 @@ class LogisticProblem(CompositeProblem):
     def __init__(self, data: Dataset, lambda1: float, lambda2: float,
                  box_radius: float | None = None):
         labels = np.unique(data.labels)
-        if labels.size > 2 or not np.all(np.isin(labels, (-1.0, 0.0, 1.0))):
+        if not (set(labels) <= {-1.0, 1.0} or set(labels) <= {0.0, 1.0}):
             raise ValueError(f"labels must be binary (+-1 or 0/1), got {labels}")
         self.data = data
         self.y = np.where(data.labels > 0, 1.0, -1.0)
@@ -740,32 +735,16 @@ def _malformed(path, block: bytes, lineno: int) -> ValueError:
     return ValueError(f"{path}: malformed lines up to {lineno}")
 
 
-def write_libsvm(path, data: Dataset) -> None:
-    """Emit the text format, a dense-stored row as its nonzero entries, with
-    shortest-roundtrip value strings: reading it back gives the same matrix."""
-    A = data.matrix
-    with open(path, "w") as fh:
-        for i in range(data.n):
-            if isinstance(A, np.ndarray):
-                cols = np.flatnonzero(A[i])
-                vals = A[i, cols]
-            else:
-                lo, hi = A.indptr[i], A.indptr[i + 1]
-                cols, vals = A.indices[lo:hi], A.data[lo:hi]
-            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(cols, vals))
-            label = data.labels[i]
-            label_s = f"{int(label)}" if label == int(label) else repr(float(label))
-            fh.write(f"{label_s} {feats}\n".rstrip() + "\n")
+_MARGIN = 0.1  # the least margin magnitude of a synthetic row
 
 
-def synth_dataset(n: int, d: int, seed: int, flip_prob: float = 0.0,
-                  margin: float = 0.1) -> Dataset:
+def synth_dataset(n: int, d: int, seed: int, flip_prob: float = 0.0) -> Dataset:
     """Gaussian features with labels from a planted separator.
 
     Rows are N(0, 1/d) so squared row norms concentrate near 1; labels are the
     sign of the planted margin. Each row is shifted along the separator so
-    its margin magnitude is at least ``margin`` (0 leaves the raw Gaussian
-    margins, which pile up near zero and make the problem much harder to fit).
+    its margin magnitude is at least ``_MARGIN`` (the raw Gaussian margins
+    pile up near zero and make the problem much harder to fit).
     Labels are then flipped independently with ``flip_prob`` (0.5 makes them
     independent of the features). Same seed, same dataset.
     """
@@ -776,9 +755,8 @@ def synth_dataset(n: int, d: int, seed: int, flip_prob: float = 0.0,
     w = rng.normal(size=d)
     w /= np.linalg.norm(w)
     signs = np.where(X @ w >= 0, 1.0, -1.0)
-    if margin > 0.0:  # in place, so the set-up holds X and one row block
-        for rows in _row_blocks(n, d):
-            X[rows] += margin * signs[rows, None] * w
+    for rows in _row_blocks(n, d):  # in place: the set-up holds X and one block
+        X[rows] += _MARGIN * signs[rows, None] * w
     labels = signs.copy()
     if flip_prob > 0.0:
         flips = rng.random(n) < flip_prob

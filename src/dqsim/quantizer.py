@@ -176,22 +176,17 @@ class Rounding:
     """The checked vector ``values`` rounded on ``grid``, before the draw:
     each value's floor code ``floor`` (a float) and chance ``frac`` of going
     up, from which the exact error and the codes both follow. A value outside
-    the hull clips to the nearest endpoint (with ``in_hull``, it is an error);
-    a fraction within _SNAP_TOL of 0 or 1 snaps onto the nearer code."""
+    the hull clips to the nearest endpoint, and a fraction within _SNAP_TOL
+    of 0 or 1 snaps onto the nearer code."""
 
-    def __init__(self, values: np.ndarray, grid: QuantGrid, in_hull: bool = False):
+    def __init__(self, values: np.ndarray, grid: QuantGrid):
         self.values, self.grid = values, grid
         if grid.delta == 0.0:
             if np.any(values != 0.0):
                 raise ValueError("zero-delta grid only covers the all-zero vector")
             self.floor = self.frac = np.zeros(values.size)
             return
-        scaled = values / grid.delta
-        if in_hull:
-            tol = _SNAP_TOL * max(1.0, float(grid.code_max))
-            if np.any(scaled < grid.code_min - tol) or np.any(scaled > grid.code_max + tol):
-                raise ValueError("coordinate outside the grid hull")
-        scaled = np.clip(scaled, grid.code_min, grid.code_max)
+        scaled = np.clip(values / grid.delta, grid.code_min, grid.code_max)
         z = np.floor(scaled)
         frac = scaled - z
         hi = frac >= 1.0 - _SNAP_TOL
@@ -247,8 +242,14 @@ def quantize_on_grid(
 
 def expected_sq_error(v, grid: QuantGrid) -> float:
     """Exact expected squared error of quantizing ``v`` on ``grid`` (see
-    :attr:`Rounding.error`); raises if ``v`` leaves the hull."""
-    return Rounding(_as_vector(v), grid, in_hull=True).error
+    :attr:`Rounding.error`); raises if ``v`` leaves the hull by more than
+    ``_SNAP_TOL * max(1, code_max)`` grid units."""
+    v = _as_vector(v)
+    if grid.delta != 0.0:
+        scaled, tol = v / grid.delta, _SNAP_TOL * max(1.0, float(grid.code_max))
+        if np.any(scaled < grid.code_min - tol) or np.any(scaled > grid.code_max + tol):
+            raise ValueError("coordinate outside the grid hull")
+    return Rounding(v, grid).error
 
 
 def choose_bx(x, budget: float, b_min: int = 2) -> Rounding | None:

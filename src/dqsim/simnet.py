@@ -94,6 +94,8 @@ class UniformLatency:
         check_field_types(self)
         if self.low < 1 or self.high < self.low:
             raise ValueError(f"need 1 <= low <= high, got [{self.low}, {self.high}]")
+        if self.high > np.iinfo(np.int64).max:  # numpy draws int64
+            raise ValueError(f"uniform high must be <= 2**63 - 1, got {self.high}")
 
     def draw(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.low, self.high + 1))
@@ -317,16 +319,17 @@ def epoch_barrier(
     problem: CompositeProblem,
     snapshot: np.ndarray,
     n_workers: int,
-    ledger: Optional[BitLedger] = None,
+    ledger: BitLedger,
     step: int = 0,
 ) -> np.ndarray:
     """Synchronous full-batch gradient at the snapshot, map-reduce style.
 
     All workers receive the snapshot, each reduces its contiguous sample
     range, and the master sums partials in worker order before dividing by n.
-    With one worker this is bit-for-bit the single-pass full gradient. The
-    full-precision exchange is recorded under its own ledger kind so inner
-    and barrier traffic stay separable.
+    With one worker this is bit-for-bit the single-pass full gradient. Each
+    worker's full-precision exchange, one message down and one up, is
+    recorded in ``ledger`` at ``step`` under its own kind, ``full_barrier``,
+    so inner and barrier traffic stay separable.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
@@ -334,11 +337,9 @@ def epoch_barrier(
     total = np.zeros(problem.d)
     for w in range(n_workers):
         lo, hi = int(bounds[w]), int(bounds[w + 1])
-        if ledger is not None:
-            ledger.record(step, "down", "full_barrier", full_bits(problem.d))
+        ledger.record(step, "down", "full_barrier", full_bits(problem.d))
         if hi > lo:
             total += problem.grad_range_sum(lo, hi, snapshot)
-        if ledger is not None:
-            ledger.record(step, "up", "full_barrier", full_bits(problem.d))
+        ledger.record(step, "up", "full_barrier", full_bits(problem.d))
     return total / problem.n
 

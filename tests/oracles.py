@@ -35,7 +35,7 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
     cross-entropy backpropagated by hand through one row.
     """
     if isinstance(problem, LogisticProblem):
-        a = problem.data.dense()[i]
+        a = dense(problem.data)[i]
         y = 1.0 if problem.data.labels[i] > 0 else -1.0
         margin = y * float(a @ x)
         sigmoid_neg = 0.5 * (1.0 - math.tanh(0.5 * margin))  # 1 / (1 + e^m)
@@ -46,7 +46,7 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
         b1 = x[h * d_in:h * d_in + h]
         w2 = x[h * d_in + h:h * d_in + h + c * h].reshape(c, h)
         b2 = x[h * d_in + h + c * h:]
-        a = problem.data.dense()[i]
+        a = dense(problem.data)[i]
         z1 = w1 @ a + b1
         a1 = np.maximum(z1, 0.0)
         logits = w2 @ a1 + b2
@@ -60,10 +60,17 @@ def grad_sample(problem, i: int, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"no per-sample oracle for {type(problem).__name__}")
 
 
+def dense(data) -> np.ndarray:
+    """``data``'s matrix as a dense array: the stored array on dense
+    storage, a new one on CSR storage."""
+    A = data.matrix
+    return A if isinstance(A, np.ndarray) else A.toarray()
+
+
 def as_csr(data) -> Dataset:
     """``data``'s matrix and labels again, built from CSR arrays of its
     nonzero entries in row-major order, so stored as a scipy CSR array."""
-    X = data.dense()
+    X = dense(data)
     rows, cols = np.nonzero(X)
     indptr = np.searchsorted(rows, np.arange(data.n + 1))
     out = Dataset(indptr, cols, X[rows, cols], data.labels, data.d)
@@ -333,3 +340,31 @@ def load_libsvm_lines(path, d: int | None = None) -> Dataset:
                        np.frombuffer(labels, dtype=np.float64), d)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_libsvm(path, data: Dataset) -> None:
+    """Emit the text format, a dense-stored row as its nonzero entries, with
+    shortest-roundtrip value strings: reading it back gives the same matrix."""
+    A = data.matrix
+    with open(path, "w") as fh:
+        for i in range(data.n):
+            if isinstance(A, np.ndarray):
+                cols = np.flatnonzero(A[i])
+                vals = A[i, cols]
+            else:
+                lo, hi = A.indptr[i], A.indptr[i + 1]
+                cols, vals = A.indices[lo:hi], A.data[lo:hi]
+            feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(cols, vals))
+            label = data.labels[i]
+            label_s = f"{int(label)}" if label == int(label) else repr(float(label))
+            fh.write(f"{label_s} {feats}\n".rstrip() + "\n")
+
+
+def per_kind(ledger) -> dict[str, tuple[int, int]]:
+    """``(count, bits)`` of each kind a ledger recorded, summed from its rows
+    in the order the kinds first appear."""
+    out: dict[str, tuple[int, int]] = {}
+    for row in ledger.rows:
+        count, bits = out.get(row.kind, (0, 0))
+        out[row.kind] = (count + 1, bits + row.bits)
+    return out

@@ -23,6 +23,8 @@ from dqsim.codec import (
 )
 from dqsim.quantizer import LowPrecisionVector, QuantGrid, SparseLowPrecisionVector
 
+from oracles import per_kind
+
 
 def decode_message(payload: bytes, d: int, b=None) -> WireMessage:
     """Reconstruct a message from its physical stream, dispatching on the
@@ -247,8 +249,8 @@ class TestLedger:
             else:
                 msg = encode_flag()
             ledger.record_message(step, direction, msg)
-        per_kind_total = sum(bits for _, bits in ledger.per_kind.values())
-        per_kind_count = sum(count for count, _ in ledger.per_kind.values())
+        per_kind_total = sum(bits for _, bits in per_kind(ledger).values())
+        per_kind_count = sum(count for count, _ in per_kind(ledger).values())
         assert per_kind_total == ledger.up_bits + ledger.down_bits
         assert per_kind_count == 200
         assert ledger.rows[-1].cumulative_bits == ledger.total_bits

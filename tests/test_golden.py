@@ -28,8 +28,8 @@ import pytest
 
 from dqsim.harness import figure_mu_trace, parse_config, run_experiment
 from dqsim.optim import Algorithm
-from dqsim.problems import Dataset, load_libsvm, write_libsvm
-from oracles import load_libsvm_lines
+from dqsim.problems import Dataset, load_libsvm
+from oracles import load_libsvm_lines, write_libsvm
 
 _SYNTH = {"kind": "synth_logistic", "n": 300, "d": 20, "seed": 3,
           "flip_prob": 0.05, "lambda1": 1e-3, "lambda2": 1e-3}

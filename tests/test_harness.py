@@ -225,6 +225,7 @@ class TestConfig:
         ({"latency": {"kind": "fixed", "tick": 3}}, "tick"),
         ({"latency": {"kind": "uniform", "low": 1.9, "high": 3}}, "low"),
         ({"latency": {"kind": "uniform", "low": 1}}, "high"),
+        ({"latency": {"kind": "uniform", "low": 1, "high": 2**63}}, "high must be"),
         ({"latency": {"kind": "fixed", "ticks": "3"}}, "ticks"),
         ({"latency": {"kind": "geometric", "p": "0.5"}}, "p must be"),
         ({"latency": {"kind": "gauss"}}, "unknown latency kind"),
@@ -233,8 +234,8 @@ class TestConfig:
         ({"count": 2.0}, "workers.count"),
         ({"count": 3, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
         ({"count": 1, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
-    ], ids=["unknown_key", "float_low", "missing_high", "str_ticks", "str_p",
-            "unknown_kind", "not_object", "bool_count", "float_count",
+    ], ids=["unknown_key", "float_low", "missing_high", "huge_high", "str_ticks",
+            "str_p", "unknown_kind", "not_object", "bool_count", "float_count",
             "short_list", "long_list"])
     def test_bad_workers_rejected_at_parse(self, workers, match):
         with pytest.raises(ValueError, match=match):

@@ -36,7 +36,7 @@ from dqsim.quantizer import (
 )
 from dqsim.simnet import UniformLatency, WorkerSpec
 
-from oracles import (as_csr, grad_sample, metric_block_stacked,
+from oracles import (as_csr, grad_sample, metric_block_stacked, per_kind,
                      serial_prox_svrg)
 
 
@@ -531,14 +531,14 @@ class TestCommunicationAccounting:
         res8 = self.run_bits(Algorithm.ASYLPG, 8)
         fpg = self.run_bits(Algorithm.ASYFPG, 32)
         # identical event patterns: message counts match across widths
-        count = lambda r: sum(c for c, _ in r.ledger.per_kind.values())
+        count = lambda r: sum(c for c, _ in per_kind(r.ledger).values())
         assert count(res4) == count(res8) == count(fpg)
         assert res4.ledger.total_bits < res8.ledger.total_bits
         assert res8.ledger.total_bits < fpg.ledger.total_bits
 
     def test_qsvrg_broadcasts_full_models_and_quantized_gradients(self):
         res = self.run_bits(Algorithm.QSVRG, 8)
-        kinds = res.ledger.per_kind
+        kinds = per_kind(res.ledger)
         assert "snapshot_flag" not in kinds
         assert "quantized_dense" in kinds  # gradients
         ups = [r for r in res.ledger.rows if r.direction == "up"
@@ -550,7 +550,7 @@ class TestCommunicationAccounting:
 
     def test_full_precision_sentinel_widths(self):
         res = self.run_bits(Algorithm.ASYLPG, 32)
-        kinds = set(res.ledger.per_kind)
+        kinds = set(per_kind(res.ledger))
         assert kinds <= {"full", "snapshot_flag", "full_barrier"}
 
     def test_metrics_rows_carry_message_metadata(self):

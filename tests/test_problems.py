@@ -21,14 +21,13 @@ from dqsim.problems import (
     soft_threshold,
     synth_dataset,
     synth_multiclass_dataset,
-    write_libsvm,
 )
 
-from oracles import (as_csr, csr_dot, csr_tdot, finite_diff_grad, grad_sample,
+from oracles import (as_csr, csr_dot, csr_tdot, dense, finite_diff_grad, grad_sample,
                      load_libsvm_lines, loss_and_grads_by_columns,
                      mlp_grad_rows_whole,
                      mlp_objective_whole, prox_bruteforce, row_norms_sq_whole,
-                     synth_dataset_whole)
+                     synth_dataset_whole, write_libsvm)
 
 
 def rng_of(seed=0):
@@ -46,7 +45,7 @@ def stored_as(storage: str, data: Dataset) -> Dataset:
     "csr" through CSR arrays."""
     if storage == "csr":
         return as_csr(data)
-    data = Dataset.from_dense(data.dense(), data.labels)
+    data = Dataset.from_dense(dense(data), data.labels)
     assert isinstance(data.matrix, np.ndarray)
     return data
 
@@ -65,7 +64,7 @@ class TestLogistic:
 
     def test_gradient_at_zero(self):
         prob = self.small()
-        X = prob.data.dense()
+        X = dense(prob.data)
         expected = -(prob.y @ X) / (2.0 * prob.n)
         np.testing.assert_allclose(prob.full_grad(np.zeros(prob.d)), expected,
                                    rtol=1e-12)
@@ -78,7 +77,7 @@ class TestLogistic:
             x = rng.normal(size=prob.d)
 
             def f_i(z, i=i):
-                margin = prob.y[i] * float(prob.data.dense()[i] @ z)
+                margin = prob.y[i] * float(dense(prob.data)[i] @ z)
                 return np.logaddexp(0.0, -margin) + 0.5 * prob.lambda2 * float(z @ z)
 
             g = grad_sample(prob, i, x)
@@ -140,11 +139,17 @@ class TestLogistic:
         data = stored_as(self.storage, synth_multiclass_dataset(20, 4, 3, 0))
         with pytest.raises(ValueError, match="binary"):
             logistic_problem(data, 0.0, 0.0)
+        # {-1, 0} mixes the two label conventions: both would map to -1
+        data = synth_dataset(20, 4, 0)
+        data_m10 = stored_as(self.storage, Dataset.from_dense(
+            dense(data), np.minimum(data.labels, 0.0)))
+        with pytest.raises(ValueError, match="binary"):
+            logistic_problem(data_m10, 0.0, 0.0)
 
     def test_accepts_zero_one_labels(self):
         data = synth_dataset(20, 4, 0)
         data01 = stored_as(self.storage, Dataset.from_dense(
-            data.dense(), (data.labels > 0).astype(float)))
+            dense(data), (data.labels > 0).astype(float)))
         prob = logistic_problem(data01, 0.0, 0.0)
         assert set(np.unique(prob.y)) == {-1.0, 1.0}
 
@@ -340,7 +345,7 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     path = tmp_path / "twice.txt"
     path.write_text("1 3:1 3:2\n-1 1:5\n")
     data = stored_as(storage, load_libsvm(path))
-    np.testing.assert_array_equal(data.dense(), [[0.0, 0.0, 3.0],
+    np.testing.assert_array_equal(dense(data), [[0.0, 0.0, 3.0],
                                                  [5.0, 0.0, 0.0]])
     np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
     np.testing.assert_array_equal(data.gather(np.array([0])).dot(np.ones(3)),
@@ -352,7 +357,7 @@ def test_repeated_column_is_summed_on_both_storages(storage, tmp_path):
     data = stored_as(storage, Dataset([0, 2, 3], indices, values, [1.0, -1.0], 3))
     np.testing.assert_array_equal(data.row_norms_sq(), [9.0, 25.0])
     np.testing.assert_array_equal(data.dot(np.ones(3)), [3.0, 5.0])
-    np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(dense(data)[0], [0.0, 0.0, 3.0])
     np.testing.assert_array_equal(indices, [2, 2, 0])
     np.testing.assert_array_equal(values, [1.0, 2.0, 5.0])
 
@@ -445,11 +450,11 @@ def test_dense_storage_holds_the_matrix_and_labels_only():
     data = synth_dataset(60, 8, seed=3)
     arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2
-    assert any(a is data.dense() for a in arrays)
+    assert any(a is data.matrix for a in arrays)
     assert any(a is data.labels for a in arrays)
     assert not any(hasattr(data, k) for k in ("indptr", "indices", "values"))
     X = rng_of(14).normal(size=(30, 5))
-    assert Dataset.from_dense(X, np.ones(30)).dense() is X
+    assert Dataset.from_dense(X, np.ones(30)).matrix is X
 
 
 def test_storage_follows_the_input(tmp_path):
@@ -541,14 +546,14 @@ class TestLibsvm:
         data = load_libsvm(path)
         assert data.n == 1 and data.d == 3
         assert data.labels[0] == 1.0
-        np.testing.assert_array_equal(data.dense()[0], [0.0, 0.0, 0.5])
+        np.testing.assert_array_equal(dense(data)[0], [0.0, 0.0, 0.5])
 
     def test_dense_prefix(self, tmp_path):
         path = tmp_path / "b.txt"
         path.write_text("-1 1:1 2:2\n")
         data = load_libsvm(path)
         assert data.labels[0] == -1.0
-        np.testing.assert_array_equal(data.dense()[0], [1.0, 2.0])
+        np.testing.assert_array_equal(dense(data)[0], [1.0, 2.0])
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -598,7 +603,7 @@ class TestLibsvm:
                 (data.indptr, np.array([0, 2, 3, 3, 5], dtype=np.int64)),
                 (data.indices, np.array([1, 3, 0, 2, 0], dtype=np.int64)),
                 (data.values, np.array([0.5, -1.25, 3.0, 1e-3, 2.0])),
-                (data.dense(), matrix)):
+                (dense(data), matrix)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
@@ -607,7 +612,7 @@ class TestLibsvm:
         path.write_text("1\n-1\n")
         with pytest.raises(ValueError, match=f"{path.name}: .*no features"):
             load_libsvm(path)
-        assert load_libsvm(path, d=3).dense().shape == (2, 3)
+        assert dense(load_libsvm(path, d=3)).shape == (2, 3)
 
     def test_roundtrip_exact_at_single_precision(self, tmp_path):
         rng = rng_of(10)
@@ -629,7 +634,7 @@ class TestLibsvm:
             write_libsvm(path, data)
             back = load_libsvm(path, d=d)
             np.testing.assert_array_equal(back.labels, data.labels)
-            np.testing.assert_array_equal(back.dense(), data.dense())
+            np.testing.assert_array_equal(dense(back), dense(data))
         np.testing.assert_array_equal(back.indptr, indptr)
         np.testing.assert_array_equal(back.indices, indices)
         np.testing.assert_array_equal(back.values, values)
@@ -788,10 +793,10 @@ class TestSynth:
     def test_deterministic_under_seed(self):
         a = synth_dataset(50, 10, seed=42)
         b = synth_dataset(50, 10, seed=42)
-        np.testing.assert_array_equal(a.dense(), b.dense())
+        np.testing.assert_array_equal(dense(a), dense(b))
         np.testing.assert_array_equal(a.labels, b.labels)
         c = synth_dataset(50, 10, seed=43)
-        assert not np.array_equal(a.dense(), c.dense())
+        assert not np.array_equal(dense(a), dense(c))
 
     def test_separable_data_trains_to_high_accuracy(self):
         data = synth_dataset(1000, 50, seed=0, flip_prob=0.0)
@@ -800,7 +805,7 @@ class TestSynth:
         eta = 1.0 / prob.smoothness
         for _ in range(500):
             x = prob.prox(eta, x - eta * prob.full_grad(x))
-        acc = np.mean(np.sign(data.dense() @ x) == prob.y)
+        acc = np.mean(np.sign(dense(data) @ x) == prob.y)
         assert acc >= 0.99
 
     def test_pure_noise_floor_is_log_two(self):

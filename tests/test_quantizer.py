@@ -3,6 +3,7 @@ import pytest
 
 from dqsim.optim import AlgoConfig
 from dqsim.quantizer import (
+    _SNAP_TOL,
     LowPrecisionVector,
     QuantGrid,
     SparseLowPrecisionVector,
@@ -146,6 +147,17 @@ class TestExpectedSqError:
             expected_sq_error([5.0], QuantGrid(1.0, 2))
         with pytest.raises(ValueError, match="zero-delta grid only covers"):
             expected_sq_error([0.0, 1.0], QuantGrid(0.0, 2))
+
+    def test_hull_tolerance_at_both_ends(self):
+        # in grid units, a value past an end by less than the tolerance
+        # rounds onto that end; one clearly past it leaves the hull
+        for delta, bits in ((1.0, 2), (0.1, 8), (0.37, 16)):
+            grid = QuantGrid(delta, bits)
+            tol = _SNAP_TOL * max(1, grid.code_max)
+            for end, out in ((grid.code_max, 1.0), (grid.code_min, -1.0)):
+                assert expected_sq_error([(end + out * tol / 2) * delta], grid) == 0.0
+                with pytest.raises(ValueError, match="outside the grid hull"):
+                    expected_sq_error([(end + out * 2 * tol) * delta], grid)
 
 
 class TestChooseBx:

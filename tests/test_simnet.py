@@ -21,6 +21,8 @@ from dqsim.simnet import (
     run_inner_loop_threads,
 )
 
+from oracles import per_kind
+
 
 def run_plain(workers, tau, m, seed=0):
     _, _, lat, _, _ = make_streams(seed, len(workers))
@@ -334,21 +336,21 @@ class TestEpochBarrier:
     def test_single_worker_matches_full_grad_bitwise(self):
         prob = self.make_problem()
         x = np.random.default_rng(0).normal(size=prob.d)
-        np.testing.assert_array_equal(epoch_barrier(prob, x, 1), prob.full_grad(x))
+        np.testing.assert_array_equal(epoch_barrier(prob, x, 1, BitLedger()), prob.full_grad(x))
 
     def test_partitioned_matches_full_grad(self):
         prob = self.make_problem()
         x = np.random.default_rng(1).normal(size=prob.d)
         ref = prob.full_grad(x)
         for n_workers in (2, 3, 7):
-            got = epoch_barrier(prob, x, n_workers)
+            got = epoch_barrier(prob, x, n_workers, BitLedger())
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
     def test_deterministic(self):
         prob = self.make_problem()
         x = np.random.default_rng(2).normal(size=prob.d)
         np.testing.assert_array_equal(
-            epoch_barrier(prob, x, 4), epoch_barrier(prob, x, 4)
+            epoch_barrier(prob, x, 4, BitLedger()), epoch_barrier(prob, x, 4, BitLedger())
         )
 
     def test_ledger_accounting(self):
@@ -356,5 +358,5 @@ class TestEpochBarrier:
         ledger = BitLedger()
         epoch_barrier(prob, np.zeros(prob.d), 5, ledger, step=3)
         assert ledger.total_bits == 32 * prob.d * (5 + 5)
-        assert ledger.per_kind["full_barrier"] == (10, 32 * prob.d * 10)
+        assert per_kind(ledger)["full_barrier"] == (10, 32 * prob.d * 10)
         assert ledger.down_bits == ledger.up_bits == 32 * prob.d * 5
