@@ -32,7 +32,6 @@ from .simnet import (
     GeometricLatency,
     StalenessRecord,
     UniformLatency,
-    WorkerSpec,
 )
 from .sparsifier import SparsePlan, SparseRealVector
 
@@ -56,7 +55,6 @@ __all__ = [
     "StalenessRecord",
     "UniformLatency",
     "WireMessage",
-    "WorkerSpec",
     "gradient_mapping_norm",
     "load_libsvm",
     "logistic_problem",

@@ -39,8 +39,8 @@ from .problems import (
 from .simnet import (
     FixedLatency,
     GeometricLatency,
+    Latency,
     UniformLatency,
-    WorkerSpec,
     check_field_types,
 )
 
@@ -227,7 +227,9 @@ _LATENCY_KINDS = {"fixed": FixedLatency, "uniform": UniformLatency,
                   "geometric": GeometricLatency}
 
 
-def build_workers(wcfg: dict) -> list[WorkerSpec]:
+def build_workers(wcfg: dict) -> list[Latency]:
+    """The ``workers`` section as one latency model per worker, in the order
+    of ``workers.latency``; a worker's id is its position in that list."""
     count, latency = wcfg["count"], wcfg["latency"]
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"workers.count must be an integer >= 1, got {count!r}")
@@ -236,7 +238,7 @@ def build_workers(wcfg: dict) -> list[WorkerSpec]:
     elif len(latency) != count:
         raise ValueError(f"workers.latency has {len(latency)} entries, "
                          f"workers.count is {count}")
-    return [WorkerSpec(i, _latency_model(spec)) for i, spec in enumerate(latency)]
+    return [_latency_model(spec) for spec in latency]
 
 
 def _latency_model(spec: dict):

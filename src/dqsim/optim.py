@@ -49,8 +49,8 @@ from .quantizer import (
 from .quantizer import expected_sq_error, mu_required  # noqa: F401
 from .simnet import (
     FixedLatency,
+    Latency,
     StalenessRecord,
-    WorkerSpec,
     check_field_types,
     epoch_barrier,
     run_inner_loop,
@@ -161,7 +161,6 @@ class AlgoConfig:
 
 @dataclass
 class RunResult:
-    config: AlgoConfig
     metrics: list[dict]  # one row per applied update
     ledger: BitLedger
     broadcasts: list[dict]  # per non-flag quantizing broadcast: mu diagnostics
@@ -455,21 +454,23 @@ def _epoch_etas(cfg: AlgoConfig, L: Optional[float], d: int) -> list[float]:
 def run_training(
     problem: CompositeProblem,
     cfg: AlgoConfig,
-    workers: Optional[Sequence[WorkerSpec]] = None,
+    workers: Optional[Sequence[Latency]] = None,
     x0: Optional[np.ndarray] = None,
 ) -> RunResult:
     """Train for ``cfg.epochs`` epochs of ``cfg.m`` asynchronous inner updates,
     from ``x0`` or else the problem's ``initial_point()``.
 
+    ``workers`` holds one latency model per worker, by default a single
+    worker at a fixed 1 tick; worker ``i`` is ``workers[i]`` and owns the
+    ``i``-th per-worker streams of :func:`make_streams`.
+
     Deterministic: identical (problem, cfg, workers, x0) produce identical
     metrics, ledger, broadcasts, and output, bit for bit.
     """
     if workers is None:
-        workers = [WorkerSpec(0, FixedLatency(1))]
+        workers = [FixedLatency(1)]
     master_rng, worker_rngs, latency_rngs, output_rng, compress_rngs = \
         make_streams(cfg.seed, len(workers))
-    rng_of = {w.worker_id: r for w, r in zip(workers, worker_rngs)}
-    crng_of = {w.worker_id: r for w, r in zip(workers, compress_rngs)}
     accelerated = cfg.algo in _ACCELERATED
     etas = _epoch_etas(cfg, problem.smoothness, problem.d)
 
@@ -527,10 +528,10 @@ def run_training(
         against the stored snapshot, compress. Touches only the worker's own
         streams plus ``snapshot``, which is rebound only between inner loops."""
         msg, diag = dispatch
-        batch = rng_of[worker_id].integers(0, problem.n, size=cfg.batch_size)
+        batch = worker_rngs[worker_id].integers(0, problem.n, size=cfg.batch_size)
         model = _decode(msg, snapshot)
         alpha = problem.grad_batch_diff(batch, model, snapshot)
-        return gradient_message(alpha, cfg, crng_of[worker_id]), diag
+        return gradient_message(alpha, cfg, compress_rngs[worker_id]), diag
 
     def on_arrival(clock: int, worker_id: int, reply):
         ledger.record_message(len(metrics), "up", reply[0])
@@ -607,7 +608,6 @@ def run_training(
     gmaps = [g for g in columns.gmaps if g is not None]
 
     return RunResult(
-        config=cfg,
         metrics=metrics,
         ledger=ledger,
         broadcasts=broadcasts,

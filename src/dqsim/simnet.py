@@ -45,7 +45,6 @@ __all__ = [
     "FixedLatency",
     "UniformLatency",
     "GeometricLatency",
-    "WorkerSpec",
     "StalenessRecord",
     "run_inner_loop",
     "run_inner_loop_threads",
@@ -114,10 +113,8 @@ class GeometricLatency:
         return int(rng.geometric(self.p))
 
 
-@dataclass(frozen=True)
-class WorkerSpec:
-    worker_id: int
-    latency: FixedLatency | UniformLatency | GeometricLatency
+# A worker is its latency model; its id is its position in the workers list.
+Latency = FixedLatency | UniformLatency | GeometricLatency
 
 
 @dataclass(frozen=True)
@@ -151,9 +148,6 @@ def _validate_loop_args(workers, tau, m):
         raise ValueError("tau must be >= 0")
     if m < 1:
         raise ValueError("m must be >= 1")
-    ids = [w.worker_id for w in workers]
-    if len(set(ids)) != len(ids):
-        raise ValueError("worker ids must be unique")
 
 
 class _Gate:
@@ -161,9 +155,9 @@ class _Gate:
     ``tau + 1`` outstanding tasks, the ready queue, and the deadline-safe
     choice among arrived results. The loops only feed it events."""
 
-    def __init__(self, workers: Sequence[WorkerSpec], tau: int):
+    def __init__(self, n_workers: int, tau: int):
         self.tau = tau
-        self.ready: deque[int] = deque(sorted(w.worker_id for w in workers))
+        self.ready: deque[int] = deque(range(n_workers))
         # dispatched, not applied; filled in seq order, so oldest first
         self.outstanding: dict[int, _Task] = {}
         self.pending: dict[int, _Task] = {}  # arrived, not applied; arrival order
@@ -213,7 +207,7 @@ class _Gate:
 
 
 def run_inner_loop(
-    workers: Sequence[WorkerSpec],
+    workers: Sequence[Latency],
     tau: int,
     m: int,
     model_step: Callable[[int, int], object],
@@ -224,6 +218,8 @@ def run_inner_loop(
 ) -> list[StalenessRecord]:
     """Run exactly ``m`` master updates over the given workers.
 
+    Worker ``i`` is ``workers[i]``, its latency model, and draws its
+    latencies from ``latency_rngs[i]``; ``worker_id`` below is that ``i``.
     ``model_step(worker_id, version)`` builds the master's broadcast at
     dispatch; ``worker_step(worker_id, model)`` computes the reply. Both are
     invoked at dispatch time in a deterministic order, so per-worker stream
@@ -233,9 +229,10 @@ def run_inner_loop(
     master, applied or not; epoch-end leftovers are the caller's to discard.
     """
     _validate_loop_args(workers, tau, m)
-    latency_of = {w.worker_id: (w.latency, rng)
-                  for w, rng in zip(workers, latency_rngs)}
-    gate = _Gate(workers, tau)
+    if len(latency_rngs) != len(workers):
+        raise ValueError(f"{len(workers)} workers need as many latency streams, "
+                         f"got {len(latency_rngs)}")
+    gate = _Gate(len(workers), tau)
     arrivals: list[tuple[int, int, _Task]] = []  # heap keyed by (arrival, seq)
     clock = 0
 
@@ -254,10 +251,9 @@ def run_inner_loop(
             if gate.t == m:
                 return gate.records
         for task in gate.admit():
-            latency, rng = latency_of[task.worker_id]
-            task.arrival = clock + latency.draw(rng)
-            task.payload = worker_step(
-                task.worker_id, model_step(task.worker_id, task.version))
+            w = task.worker_id
+            task.arrival = clock + workers[w].draw(latency_rngs[w])
+            task.payload = worker_step(w, model_step(w, task.version))
             heapq.heappush(arrivals, (task.arrival, task.seq, task))
         # Without a safe choice nothing changes before the next arrival, and
         # one is in flight because the oldest outstanding task is always safe.
@@ -265,7 +261,7 @@ def run_inner_loop(
 
 
 def run_inner_loop_threads(
-    workers: Sequence[WorkerSpec],
+    workers: Sequence[Latency],
     tau: int,
     m: int,
     model_step: Callable[[int, int], object],
@@ -275,20 +271,21 @@ def run_inner_loop_threads(
 ) -> list[StalenessRecord]:
     """Real-thread variant of :func:`run_inner_loop`.
 
-    Each worker runs on its own single-thread pool; compute time replaces the
-    latency model, so arrival order depends on the scheduler and determinism
-    is forfeited. The staleness bound is enforced with the same admission and
-    deadline rules. Workers share nothing: they receive model messages and
-    return results by value, and only the master thread touches master state
-    (all model_step/apply_step calls happen here; worker_step runs on the
-    worker's thread against its own streams). An exception raised by
-    ``worker_step`` stops the run and is re-raised here. Every worker thread
-    is joined before this returns or raises.
+    Worker ``i`` runs on its own single-thread pool; its compute time
+    replaces its latency model ``workers[i]``, so arrival order depends on
+    the scheduler and determinism is forfeited. The staleness bound is
+    enforced with the same admission and deadline rules. Workers share
+    nothing: they receive model messages and return results by value, and
+    only the master thread touches master state (all model_step/apply_step
+    calls happen here; worker_step runs on the worker's thread against its
+    own streams). An exception raised by ``worker_step`` stops the run and is
+    re-raised here. Every worker thread is joined before this returns or
+    raises.
     """
     _validate_loop_args(workers, tau, m)
-    pools = {w.worker_id: ThreadPoolExecutor(max_workers=1) for w in workers}
+    pools = [ThreadPoolExecutor(max_workers=1) for _ in workers]
     finished: queue.SimpleQueue = queue.SimpleQueue()  # (task, future)
-    gate = _Gate(workers, tau)
+    gate = _Gate(len(workers), tau)
     arrival_order = itertools.count()
     try:
         while gate.t < m:
@@ -310,7 +307,7 @@ def run_inner_loop_threads(
             record = gate.apply(chosen, chosen.arrival)
             apply_step(record.t, chosen.payload, record)
     finally:
-        for pool in pools.values():
+        for pool in pools:
             pool.shutdown(cancel_futures=True)
     return gate.records
 

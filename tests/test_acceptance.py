@@ -44,7 +44,6 @@ from dqsim.simnet import (
     FixedLatency,
     GeometricLatency,
     UniformLatency,
-    WorkerSpec,
     run_inner_loop,
 )
 from dqsim.sparsifier import SparsePlan, budget_max, optimal_plan, sparsify
@@ -201,7 +200,7 @@ def test_criterion_4_oracle_equivalence():
     iterates = []  # each update's prox output is its post-update iterate
     prox = prob.prox
     prob.prox = lambda eta, v: iterates.append(prox(eta, v)) or iterates[-1]
-    run_training(prob, cfg, [WorkerSpec(0, FixedLatency(1))])
+    run_training(prob, cfg, [FixedLatency(1)])
     del prob.prox  # the reference below steps through the class's prox
     _, wrngs, _, _, _ = make_streams(41, 1)
     reference = serial_prox_svrg(prob, 3, 25, 0.5, 2, wrngs[0])
@@ -222,18 +221,14 @@ def test_criterion_5_bounded_staleness():
         n_w = int(rng.integers(1, 9))
         tau = int(rng.integers(0, 9))
         specs = []
-        for i in range(n_w):
+        for _ in range(n_w):
             kind = int(rng.integers(0, 3))
             if kind == 0:
-                specs.append(WorkerSpec(i, FixedLatency(int(rng.integers(1, 7)))))
+                specs.append(FixedLatency(int(rng.integers(1, 7))))
             elif kind == 1:
-                specs.append(
-                    WorkerSpec(i, UniformLatency(1, int(rng.integers(2, 10))))
-                )
+                specs.append(UniformLatency(1, int(rng.integers(2, 10))))
             else:
-                specs.append(
-                    WorkerSpec(i, GeometricLatency(float(rng.uniform(0.15, 0.9))))
-                )
+                specs.append(GeometricLatency(float(rng.uniform(0.15, 0.9))))
         _, _, lat, _, _ = make_streams(trial, n_w)
         recs = run_inner_loop(
             specs, tau, 10_000, lambda w, v: None, lambda w, d: d,
@@ -262,7 +257,7 @@ def convergence_runs():
     p_star = oracle_best_loss(prob, 1500)
     p0 = prob.objective(np.zeros(prob.d))
     target = p_star + 0.1 * (p0 - p_star)
-    workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(4)]
+    workers = [UniformLatency(1, 3)] * 4
 
     def make(algo, seed, probes=()):
         return AlgoConfig(
@@ -311,7 +306,7 @@ def test_criterion_6_rate_bound():
     rho = theory_rho(cfg, prob.d)
     rep = theory_constants(cfg, prob)
     assert rep["step_condition_ok"] and 0 < rho < 0.5
-    workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+    workers = [UniformLatency(1, 3)] * 2
     res = run_training(prob, cfg, workers)
     p_star = oracle_best_loss(prob, 4000)
     T = cfg.epochs * cfg.m

@@ -210,14 +210,14 @@ class TestConfig:
 
     def test_worker_construction(self):
         specs = build_workers({"count": 2, "latency": {"kind": "fixed", "ticks": 3}})
-        assert all(isinstance(s.latency, FixedLatency) for s in specs)
+        assert all(isinstance(s, FixedLatency) for s in specs)
         specs = build_workers(
             {"count": 2,
              "latency": [{"kind": "uniform", "low": 1, "high": 2},
                          {"kind": "geometric", "p": 0.5}]}
         )
-        assert isinstance(specs[0].latency, UniformLatency)
-        assert isinstance(specs[1].latency, GeometricLatency)
+        assert isinstance(specs[0], UniformLatency)
+        assert isinstance(specs[1], GeometricLatency)
         with pytest.raises(ValueError):
             build_workers({"count": 0, "latency": {"kind": "fixed", "ticks": 1}})
 
@@ -244,7 +244,7 @@ class TestConfig:
     def test_fixed_latency_defaults_to_one_tick(self):
         specs = parse_config({"workers": {"count": 2, "latency": [
             {"kind": "fixed"}, {}]}}).workers
-        assert [s.latency for s in build_workers(specs)] == [FixedLatency(1)] * 2
+        assert build_workers(specs) == [FixedLatency(1)] * 2
 
     def test_problem_kinds(self):
         assert build_problem(base_config().problem).n == 400

@@ -34,7 +34,7 @@ from dqsim.quantizer import (
     quantize_on_grid,
     quantize_vector,
 )
-from dqsim.simnet import UniformLatency, WorkerSpec
+from dqsim.simnet import UniformLatency
 
 from oracles import (as_csr, grad_sample, metric_block_stacked, per_kind,
                      serial_prox_svrg)
@@ -410,7 +410,7 @@ class TestAccelerated:
         cfg = AlgoConfig(algo=Algorithm.ACC_ASYLPG, epochs=3, m=12, eta=0.05,
                          b_x=8, b=8, mu=0.1, tau=2, seed=2, batch_size=2,
                          track_grad_mapping=False)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(3)]
+        workers = [UniformLatency(1, 3)] * 3
         xs, ys, snapshots = [], [], []
 
         def keep_snapshot(args, _):
@@ -523,7 +523,7 @@ class TestCommunicationAccounting:
         cfg = AlgoConfig(algo=algo, epochs=2, m=10, eta=0.2, b_x=b, b=b,
                          mu=0.5, tau=2, seed=seed, batch_size=2,
                          track_grad_mapping=False)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        workers = [UniformLatency(1, 3)] * 2
         return run_training(prob, cfg, workers)
 
     def test_monotone_in_width(self):
@@ -589,7 +589,7 @@ class TestWireBytes:
         prob = logistic_problem(synth_dataset(60, 12, 4), 1e-4, 1e-3)
         cfg = AlgoConfig(algo=algo, epochs=2, m=10, eta=0.2, b_x=4, b=6,
                          tau=2, seed=5, batch_size=2, execution=execution)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(3)]
+        workers = [UniformLatency(1, 3)] * 3
         res = run_training(prob, cfg, workers)
         assert len(res.metrics) == 20 and res.ledger.total_bits > 0
 
@@ -700,7 +700,7 @@ class TestMetricColumns:
         prob = logistic_problem(data, 0.02, 1e-3, box_radius=box)
         cfg = AlgoConfig(algo=algo, epochs=3, m=20, eta=0.2, b_x=6, b=6,
                          tau=2, seed=9, batch_size=3)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        workers = [UniformLatency(1, 3)] * 2
         blocked = run_training(prob, cfg, workers)
         monkeypatch.setattr(LogisticProblem, "loss_and_grads",
                             CompositeProblem.loss_and_grads)
@@ -735,7 +735,7 @@ class TestMetricColumns:
         prob = logistic_problem(data, 1e-3, 1e-3)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, execution=execution)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        workers = [UniformLatency(1, 3)] * 2
         res = run_training(prob, cfg, workers)
         assert all(row["train_loss"] is not None and
                    row["grad_mapping_sq"] is not None for row in res.metrics)
@@ -770,7 +770,7 @@ class TestMetricColumns:
         monkeypatch.setattr(optim._MetricColumns, "flush", counted_flush)
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=12, eta=0.2,
                          tau=2, seed=5, batch_size=2, metric_every=3)
-        workers = [WorkerSpec(i, UniformLatency(1, 3)) for i in range(2)]
+        workers = [UniformLatency(1, 3)] * 2
         res = run_training(prob, cfg, workers)
         assert sum(loss_only for loss_only, _, _ in blocks) == 8
         assert sum(mapped for _, mapped, _ in blocks) == 8

@@ -1,0 +1,17 @@
+"""The README's library examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_examples_run():
+    # Each python block of the section, in order, in one namespace: a later
+    # block may use what an earlier one defined.
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

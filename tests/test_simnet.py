@@ -15,7 +15,6 @@ from dqsim.simnet import (
     FixedLatency,
     GeometricLatency,
     UniformLatency,
-    WorkerSpec,
     epoch_barrier,
     run_inner_loop,
     run_inner_loop_threads,
@@ -34,25 +33,25 @@ def run_plain(workers, tau, m, seed=0):
 
 def random_workers(rng, n_w):
     specs = []
-    for i in range(n_w):
+    for _ in range(n_w):
         k = int(rng.integers(0, 3))
         if k == 0:
-            specs.append(WorkerSpec(i, FixedLatency(int(rng.integers(1, 6)))))
+            specs.append(FixedLatency(int(rng.integers(1, 6))))
         elif k == 1:
-            specs.append(WorkerSpec(i, UniformLatency(1, int(rng.integers(2, 9)))))
+            specs.append(UniformLatency(1, int(rng.integers(2, 9))))
         else:
-            specs.append(WorkerSpec(i, GeometricLatency(float(rng.uniform(0.2, 0.9)))))
+            specs.append(GeometricLatency(float(rng.uniform(0.2, 0.9))))
     return specs
 
 
 class TestInnerLoop:
     def test_single_worker_unit_latency_is_synchronous(self):
-        recs = run_plain([WorkerSpec(0, FixedLatency(1))], 0, 20)
+        recs = run_plain([FixedLatency(1)], 0, 20)
         assert [r.version for r in recs] == list(range(20))
         assert all(r.staleness == 0 for r in recs)
 
     def test_two_workers_fixed_latency_hand_trace(self):
-        workers = [WorkerSpec(0, FixedLatency(2)), WorkerSpec(1, FixedLatency(2))]
+        workers = [FixedLatency(2)] * 2
         recs = run_plain(workers, 2, 6)
         assert [(r.t, r.version, r.worker_id) for r in recs] == [
             (0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1), (4, 3, 0), (5, 3, 1),
@@ -77,7 +76,7 @@ class TestInnerLoop:
             assert len(run_plain(workers, int(rng.integers(0, 5)), m)) == m
 
     def test_deterministic_given_seeds(self):
-        workers = [WorkerSpec(i, UniformLatency(1, 7)) for i in range(5)]
+        workers = [UniformLatency(1, 7)] * 5
         a = run_plain(workers, 3, 500, seed=9)
         b = run_plain(workers, 3, 500, seed=9)
         assert a == b
@@ -94,14 +93,14 @@ class TestInnerLoop:
         def apply_result(t, payload, record):
             assert payload == record.version
 
-        workers = [WorkerSpec(i, UniformLatency(1, 4)) for i in range(3)]
+        workers = [UniformLatency(1, 4)] * 3
         _, _, lat, _, _ = make_streams(1, 3)
         run_inner_loop(workers, 2, 100, make_task, lambda w, d: d, apply_result, lat)
         assert versions == sorted(versions)  # grants see nondecreasing versions
 
     def test_on_arrival_sees_every_applied_result(self):
         arrived = []
-        workers = [WorkerSpec(i, UniformLatency(1, 5)) for i in range(4)]
+        workers = [UniformLatency(1, 5)] * 4
         _, _, lat, _, _ = make_streams(2, 4)
         recs = run_inner_loop(
             workers, 3, 200, lambda w, v: (w, v), lambda w, d: d,
@@ -111,7 +110,7 @@ class TestInnerLoop:
         assert len(arrived) >= len(recs)
 
     def test_validation_errors(self):
-        w = [WorkerSpec(0, FixedLatency(1))]
+        w = [FixedLatency(1)]
         _, _, lat, _, _ = make_streams(0, 1)
         with pytest.raises(ValueError):
             run_inner_loop([], 0, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, [])
@@ -121,9 +120,9 @@ class TestInnerLoop:
             run_inner_loop(w, 0, 0, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
         with pytest.raises(ValueError, match="latency must be >= 1 tick"):
             FixedLatency(0)  # rejected where it is built, before any loop
-        dup = [WorkerSpec(0, FixedLatency(1)), WorkerSpec(0, FixedLatency(1))]
-        with pytest.raises(ValueError):
-            run_inner_loop(dup, 0, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
+        two = [FixedLatency(1)] * 2
+        with pytest.raises(ValueError, match="2 workers need as many latency streams, got 1"):
+            run_inner_loop(two, 0, 1, lambda w, v: None, lambda w, d: d, lambda t, p, r: None, lat)
         with pytest.raises(ValueError, match="need 1 <= low <= high"):
             UniformLatency(2, 1)
         with pytest.raises(ValueError, match="geometric p must be in"):
@@ -138,18 +137,14 @@ class TestInnerLoop:
             n_w = int(rng.integers(1, 9))
             tau = int(rng.integers(0, 9))
             specs = []
-            for i in range(n_w):
+            for _ in range(n_w):
                 kind = int(rng.integers(0, 3))
                 if kind == 0:
-                    specs.append(WorkerSpec(i, FixedLatency(int(rng.integers(1, 7)))))
+                    specs.append(FixedLatency(int(rng.integers(1, 7))))
                 elif kind == 1:
-                    specs.append(
-                        WorkerSpec(i, UniformLatency(1, int(rng.integers(2, 10))))
-                    )
+                    specs.append(UniformLatency(1, int(rng.integers(2, 10))))
                 else:
-                    specs.append(
-                        WorkerSpec(i, GeometricLatency(float(rng.uniform(0.15, 0.9))))
-                    )
+                    specs.append(GeometricLatency(float(rng.uniform(0.15, 0.9))))
             _, _, lat, _, _ = make_streams(trial, n_w)
             recs = run_inner_loop(
                 specs, tau, 500, lambda w, v: None, lambda w, d: d,
@@ -189,7 +184,7 @@ class TestThreadedLoop:
 
     def test_runs_m_updates_within_staleness_bound(self):
         for tau, n_w in [(0, 1), (2, 3), (5, 4)]:
-            workers = [WorkerSpec(i, FixedLatency(1)) for i in range(n_w)]
+            workers = [FixedLatency(1)] * n_w
             applied = []
             recs = run_inner_loop_threads(
                 workers, tau, 150,
@@ -212,7 +207,7 @@ class TestThreadedLoop:
             seen.add(threading.get_ident())
             return version
 
-        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(2)]
+        workers = [FixedLatency(1)] * 2
         run_inner_loop_threads(
             workers, 1, 40, lambda w, v: v, worker_step, lambda t, p, r: None
         )
@@ -230,7 +225,7 @@ class TestThreadedLoop:
         def run():
             try:
                 run_inner_loop_threads(
-                    [WorkerSpec(0, FixedLatency(1))], 1, 5,
+                    [FixedLatency(1)], 1, 5,
                     lambda w, v: v, worker_step, lambda t, p, r: None,
                 )
             except Exception as exc:
@@ -261,7 +256,7 @@ class TestThreadedLoop:
             time.sleep(1e-3)  # other workers are mid-step when the run stops
             return version
 
-        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(4)]
+        workers = [FixedLatency(1)] * 4
         before = threading.active_count()
         out = {}
 
@@ -286,7 +281,7 @@ class TestThreadedLoop:
 
     def test_stress_more_workers_than_cores(self):
         tau, m = 5, 2000
-        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(16)]
+        workers = [FixedLatency(1)] * 16
         applied = []
         out = {}
 
@@ -321,7 +316,7 @@ class TestThreadedLoop:
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, epochs=2, m=20, eta=0.3,
                          b_x=8, b=8, tau=3, seed=5, batch_size=4,
                          execution="threads", track_grad_mapping=False)
-        workers = [WorkerSpec(i, FixedLatency(1)) for i in range(3)]
+        workers = [FixedLatency(1)] * 3
         res = run_training(prob, cfg, workers)
         assert len(res.metrics) == 40
         assert all(0 <= r["staleness"] <= 3 for r in res.metrics)
