@@ -59,6 +59,7 @@ __all__ = [
     "encode_sparse",
     "encode_full",
     "encode_flag",
+    "check_sendable",
     "decode_dense",
     "decode_sparse",
     "decode_full",
@@ -172,7 +173,7 @@ def _pack_message(kind: MessageKind, content: Content) -> bytes:
     return bytes([_TAGS[kind]]) + body
 
 
-def _check_sendable(kind: MessageKind, grid: QuantGrid) -> None:
+def check_sendable(kind: MessageKind, grid: QuantGrid) -> None:
     """Codes must fit the wire's width and the scale must fit binary32: a
     scale that ``struct.pack`` cannot pack raises ``OverflowError`` naming
     the message kind and the scale."""
@@ -189,7 +190,7 @@ def _check_sendable(kind: MessageKind, grid: QuantGrid) -> None:
 
 def encode_dense(q: LowPrecisionVector) -> WireMessage:
     """Dense quantized vector: 32 + b*d counted bits."""
-    _check_sendable(MessageKind.DENSE, q.grid)
+    check_sendable(MessageKind.DENSE, q.grid)
     return WireMessage(MessageKind.DENSE, dense_bits(q.dim, q.grid.bits), q)
 
 
@@ -199,7 +200,7 @@ def encode_sparse(q: SparseLowPrecisionVector) -> WireMessage:
     The explicit entry count travels physically but is folded into the 32-bit
     header for accounting, so counted cost matches the closed formula.
     """
-    _check_sendable(MessageKind.SPARSE, q.grid)
+    check_sendable(MessageKind.SPARSE, q.grid)
     return WireMessage(MessageKind.SPARSE, sparse_bits(q.dim, q.nnz, q.grid.bits), q)
 
 

@@ -24,8 +24,6 @@ from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .codec import write_csv
 from .optim import Algorithm, AlgoConfig, run_training, theory_constants
 from .problems import (
@@ -256,10 +254,12 @@ def _latency_model(spec: dict):
         raise ValueError(f"workers.latency {kind!r}: {exc}") from exc
 
 
-def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
+def oracle_best_loss(problem: CompositeProblem,
+                     iters: int) -> tuple[float, float]:
     """Deterministic full-batch proximal-gradient run from the problem's
-    initial point; returns the best objective seen. Serves as the reference
-    optimum for loss targets and rate-bound checks.
+    initial point; returns ``(start, best)``, the objective at that point
+    and the best objective seen. Serves as the reference optimum for loss
+    targets and rate-bound checks.
 
     Each step takes the objective and the full gradient from one
     ``loss_and_grads`` call on the one-column block ``x[:, None]``. It is
@@ -271,12 +271,13 @@ def oracle_best_loss(problem: CompositeProblem, iters: int) -> float:
     else:
         eta = 0.1
     x = problem.initial_point()
-    (best,), grad = problem.loss_and_grads(x[:, None], [0])
+    (start,), grad = problem.loss_and_grads(x[:, None], [0])
+    best = start
     for _ in range(iters):
         x = problem.prox(eta, x - eta * grad[:, 0])
         (loss,), grad = problem.loss_and_grads(x[:, None], [0])
         best = min(best, loss)
-    return best
+    return start, best
 
 
 def resolve_loss_target(config: ExperimentConfig,
@@ -285,18 +286,17 @@ def resolve_loss_target(config: ExperimentConfig,
     initial gap when set to "auto"; ``RunConfig`` checked the value."""
     target = config.run.loss_target
     if target == "auto":
-        best = oracle_best_loss(problem, config.run.oracle_iters)
-        start = problem.objective(problem.initial_point())
+        start, best = oracle_best_loss(problem, config.run.oracle_iters)
         return best + 0.1 * (start - best)
     return None if target is None else float(target)
 
 
 def _first_crossing(metrics: Sequence[dict], target: float):
-    """First metrics row whose loss is below target: (bits, epoch, t_global)."""
+    """First metrics row whose loss is below target: (bits, epoch)."""
     for row in metrics:
         loss = row.get("train_loss")
         if loss is not None and loss < target:
-            return row["cumulative_bits"], row["epoch"], row["t_global"]
+            return row["cumulative_bits"], row["epoch"]
     return None
 
 
@@ -322,12 +322,6 @@ def run_experiment(config: ExperimentConfig,
         loss_target = resolve_loss_target(config, problem)
 
     result = run_training(problem, acfg, workers)
-
-    theory = None
-    if problem.smoothness is not None and not (
-            acfg.algo is Algorithm.SPARSE_ASYLPG and acfg.phi is None):
-        theory = theory_constants(acfg, problem)
-
     crossing = _first_crossing(result.metrics, loss_target) \
         if loss_target is not None else None
 
@@ -364,7 +358,7 @@ def run_experiment(config: ExperimentConfig,
         violations=result.violations,
         search_failures=result.search_failures,
         min_grad_mapping_sq=result.min_grad_mapping_sq,
-        theory=_jsonable(theory),
+        theory=theory_constants(acfg, problem),
         output_vector=[float(v) for v in result.output],
     )
     if out_dir:
@@ -372,20 +366,6 @@ def run_experiment(config: ExperimentConfig,
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
-
-
-def _jsonable(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
 
 
 def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],

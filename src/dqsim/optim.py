@@ -174,10 +174,9 @@ class RunResult:
 
     @property
     def final_loss(self) -> float:
-        for row in reversed(self.metrics):
-            if row["train_loss"] is not None:
-                return row["train_loss"]
-        return math.nan
+        """The last recorded loss; row 0 always records one."""
+        return next(row["train_loss"] for row in reversed(self.metrics)
+                    if row["train_loss"] is not None)
 
 
 class _MetricColumns:
@@ -278,12 +277,15 @@ def model_message(
 ) -> tuple[WireMessage, dict]:
     """Build the master->worker model message and its precision diagnostics.
 
+    ``diag`` holds, in order, ``mu_required`` (at ``b_x``), ``b_x_used``,
+    ``violation``, ``search_failed`` and one ``mu_required_b<w>`` per probe
+    width; a quantizing broadcast's row is these keys as they stand.
     ``violation`` flags a transmitted message whose exact expected error
     exceeds the budget (possible only with widening disabled); a full
     precision rescue after an exhausted width search is reported separately
     as ``search_failed`` since the constraint then holds trivially.
     """
-    diag: dict = {"mu_required": None, "mu_probes": {}, "b_x_used": None,
+    diag: dict = {"mu_required": None, "b_x_used": None,
                   "violation": False, "search_failed": False}
     if cfg.algo not in _MODEL_QUANTIZED:
         return codec.encode_full(x), diag
@@ -293,13 +295,18 @@ def model_message(
         diag["b_x_used"] = FULL_PRECISION_BITS
         return codec.encode_full(x), diag
 
+    rounding = rounding_for(x, cfg.b_x)
+    if rounding.grid.delta * rounding.grid.code_max >= 2.0**128 * 2**30:
+        # even the widest grid's scale, max|x| / (2^30 - 1), is past
+        # binary32, so no message carries x, and its error could overflow
+        # float64: fail as the send at b_x would
+        codec.check_sendable(MessageKind.DENSE, rounding.grid)
     diff_sq = float(np.sum((x - snapshot) ** 2))
     budget = mu_scale * cfg.mu * diff_sq
-    rounding = rounding_for(x, cfg.b_x)
     diag["mu_required"] = rounding.error / diff_sq
     for width in cfg.mu_probe_widths:
         probe = rounding if width == cfg.b_x else rounding.at(width)
-        diag["mu_probes"][width] = probe.error / diff_sq
+        diag[f"mu_required_b{width}"] = probe.error / diff_sq
 
     if diag["mu_required"] * diff_sq > budget:
         if cfg.bx_adapt:
@@ -354,11 +361,14 @@ def _variance_factor(cfg: AlgoConfig, d: int) -> float:
             raise ValueError("sparse stability factor needs a budget phi")
         gamma = _gamma_sparse(d, cfg.phi, cfg.b)
         return (mu + 1.0) * gamma
-    delta = _delta_dense(d, cfg.b) if cfg.b < FULL_PRECISION_BITS else 0.0
-    return (mu + 1.0) * (delta + 2.0)
+    return (mu + 1.0) * (_delta_dense(d, cfg.b) + 2.0)
 
 
 def _delta_dense(d: int, b: int) -> float:
+    """Dense gradient-quantization variance constant; width 32 sends exact
+    values, so its constant is 0."""
+    if b >= FULL_PRECISION_BITS:
+        return 0.0
     return d / (4.0 * ((1 << (b - 1)) - 1) ** 2)
 
 
@@ -374,46 +384,36 @@ def _acc_tau_bound(theta: float, mu: float, d: int, b: int, sigma: float) -> flo
     return (math.sqrt(base**2 + 4.0 * (sigma - 1.0) / gamma) - base) / 2.0
 
 
-def theory_constants(
-    cfg: AlgoConfig,
-    problem: CompositeProblem,
-    p_star: Optional[float] = None,
-    x0: Optional[np.ndarray] = None,
-) -> dict:
+def theory_constants(cfg: AlgoConfig, problem: CompositeProblem) -> Optional[dict]:
     """Evaluate the stability constants and step-size conditions for a
-    configuration, plus the rate bound when a reference optimum is supplied.
+    configuration: the ``theory`` block of ``report.json``.
 
-    Emits one pass/fail entry per checkable condition. In constant-step mode
-    rho is eta*L for the configured eta; theory mode reports the rho that the
-    run would use.
+    None where the theory does not apply: the problem exposes no smoothness
+    estimate, or sparse_asylpg has no budget ``phi``. Emits one pass/fail
+    entry per checkable condition. In constant-step mode rho is eta*L for
+    the configured eta; theory mode reports the rho that the run would use.
+    The momentum variants report the tau bound of each epoch as an
+    ``[s, bound]`` pair, in place of the step condition.
     """
-    d = problem.d
     L = problem.smoothness
-    if L is None:
-        raise ValueError("problem exposes no smoothness estimate")
-    report: dict = {"L": L, "d": d, "m": cfg.m, "tau": cfg.tau}
-    delta = _delta_dense(d, cfg.b) if cfg.b < FULL_PRECISION_BITS else 0.0
-    report["delta"] = delta
-    mu = cfg.mu if cfg.algo in _MODEL_QUANTIZED else 0.0
+    if L is None or (cfg.algo is Algorithm.SPARSE_ASYLPG and cfg.phi is None):
+        return None
+    d = problem.d
+    report: dict = {"L": L, "d": d, "m": cfg.m, "tau": cfg.tau,
+                    "delta": _delta_dense(d, cfg.b)}
 
     if cfg.algo in _ACCELERATED:
-        bounds = [
-            (s, _acc_tau_bound(momentum_weight(s), mu, d, cfg.b, cfg.sigma))
-            for s in range(1, cfg.epochs + 1)
-        ]
+        mu = cfg.mu if cfg.algo in _MODEL_QUANTIZED else 0.0
+        thetas = [momentum_weight(s) for s in range(1, cfg.epochs + 1)]
+        bounds = [[s, _acc_tau_bound(theta, mu, d, cfg.b, cfg.sigma)]
+                  for s, theta in enumerate(thetas, 1)]
         binding_s, binding = min(bounds, key=lambda sb: sb[1])
-        report["tau_bound_per_epoch"] = bounds
-        report["tau_bound_binding_epoch"] = binding_s
-        report["tau_bound"] = binding
-        report["tau_ok"] = cfg.tau <= binding
-        report["theta"] = [momentum_weight(s) for s in range(1, cfg.epochs + 1)]
-        report["eta_schedule"] = _epoch_etas(cfg, L, d)
+        report.update(tau_bound_per_epoch=bounds, tau_bound_binding_epoch=binding_s,
+                      tau_bound=binding, tau_ok=cfg.tau <= binding, theta=thetas,
+                      eta_schedule=_epoch_etas(cfg, L, d))
         return report
 
-    if cfg.eta_mode == "theory":
-        rho = theory_rho(cfg, d)
-    else:
-        rho = cfg.eta * L
+    rho = theory_rho(cfg, d) if cfg.eta_mode == "theory" else cfg.eta * L
     report["rho"] = rho
     report["eta"] = rho / L
     factor = _variance_factor(cfg, d)
@@ -428,11 +428,6 @@ def theory_constants(
     report["serial_condition"] = 4.0 * rho**2 * cfg.m**2 + rho
     report["serial_condition_ok"] = report["serial_condition"] <= 1.0 + 1e-12
     report["rho_in_range"] = 0.0 < rho < 0.5
-    if p_star is not None and x0 is not None:
-        T = cfg.epochs * cfg.m
-        gap = problem.objective(x0) - p_star
-        report["rate_bound"] = 2.0 * L * gap / (rho * (1.0 - 2.0 * rho) * T)
-        report["gap"] = gap
     return report
 
 
@@ -509,18 +504,7 @@ def run_training(
         msg, diag = model_message(x, snapshot, cfg, master_rng, mu_scale=theta)
         ledger.record_message(len(metrics), "down", msg)
         if msg.kind is not MessageKind.FLAG and diag["b_x_used"] is not None:
-            broadcasts.append(
-                {
-                    "epoch": epoch,
-                    "version": version,
-                    "mu_required": diag["mu_required"],
-                    "b_x_used": diag["b_x_used"],
-                    "violation": diag["violation"],
-                    "search_failed": diag["search_failed"],
-                    **{f"mu_required_b{w}": v
-                       for w, v in diag["mu_probes"].items()},
-                }
-            )
+            broadcasts.append({"epoch": epoch, "version": version, **diag})
         return msg, diag
 
     def worker_step(worker_id: int, dispatch):

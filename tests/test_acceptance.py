@@ -254,7 +254,7 @@ def convergence_runs():
     """Criterion-7 problem and the AsyLPG / AsyFPG / Acc-AsyLPG runs."""
     data = synth_dataset(5000, 300, seed=70)
     prob = logistic_problem(data, 1e-5, 1e-4)
-    p_star = oracle_best_loss(prob, 1500)
+    _, p_star = oracle_best_loss(prob, 1500)
     p0 = prob.objective(np.zeros(prob.d))
     target = p_star + 0.1 * (p0 - p_star)
     workers = [UniformLatency(1, 3)] * 4
@@ -308,7 +308,7 @@ def test_criterion_6_rate_bound():
     assert rep["step_condition_ok"] and 0 < rho < 0.5
     workers = [UniformLatency(1, 3)] * 2
     res = run_training(prob, cfg, workers)
-    p_star = oracle_best_loss(prob, 4000)
+    _, p_star = oracle_best_loss(prob, 4000)
     T = cfg.epochs * cfg.m
     bound = 2 * prob.smoothness * (prob.objective(np.zeros(prob.d)) - p_star) / (
         rho * (1 - 2 * rho) * T

@@ -89,19 +89,23 @@ def test_missing_config_is_one_error_line(tmp_path, capsys):
 def test_divergent_run_is_one_error_line(tmp_path, capsys, algo):
     # at eta 1e6 the iterates overflow binary32: a quantized model message
     # fails to pack its scale, a full-precision one its values; either
-    # error says so
-    cfg = {
-        "problem": {"kind": "synth_logistic", "n": 200, "d": 20, "seed": 1},
-        "algo": {"algo": algo, "eta": 1e6, "epochs": 2, "m": 10},
-        "workers": {"count": 2},
-        "run": {"loss_target": None},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["run", "--config", str(path)])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("dqsim: error: ")
-    assert captured.err.count("\n") == 1
-    assert "too large for binary32" in captured.err
+    # error says so. At 1e300 the model's quantization error would overflow
+    # float64 as well, and the message fails before it is computed.
+    for eta in (1e6, 1e300):
+        cfg = {
+            "problem": {"kind": "synth_logistic", "n": 200, "d": 20, "seed": 1},
+            "algo": {"algo": algo, "eta": eta, "epochs": 2, "m": 10},
+            "workers": {"count": 2},
+            "run": {"loss_target": None},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dqsim: error: ")
+        assert captured.err.count("\n") == 1
+        assert "too large for binary32" in captured.err
+        if algo != "asyfpg":  # the model-quantizing algorithms
+            assert "quantized_dense message scale" in captured.err

@@ -22,8 +22,10 @@ from dqsim.harness import (
     run_experiment,
 )
 from dqsim.optim import AlgoConfig
-from dqsim.problems import CompositeProblem, LogisticProblem
+from dqsim.problems import CompositeProblem, LogisticProblem, synth_dataset
 from dqsim.simnet import FixedLatency, GeometricLatency, UniformLatency
+
+from oracles import as_csr, write_libsvm
 
 BASE = {
     "problem": {"kind": "synth_logistic", "n": 400, "d": 30, "seed": 2,
@@ -336,13 +338,27 @@ class TestRunExperiment:
         assert rep.bits_to_target is None
         assert rep.total_bits > 0
 
-    def test_auto_target_uses_oracle_gap(self):
-        cfg = base_config(loss_target="auto", oracle_iters=300)
-        problem = build_problem(cfg.problem)
-        target = resolve_loss_target(cfg, problem)
-        best = oracle_best_loss(problem, 300)
-        start = problem.objective(np.zeros(problem.d))
-        assert target == pytest.approx(best + 0.1 * (start - best))
+    def test_auto_target_uses_oracle_gap(self, tmp_path):
+        # a dense and a CSR logistic problem, and a network, whose start is
+        # its seeded initial point, not zeros: the oracle's first objective
+        # is the objective there
+        path = tmp_path / "data.libsvm"
+        write_libsvm(path, as_csr(synth_dataset(400, 30, 2)))
+        for problem_section in (BASE["problem"],
+                                {**BASE["problem"], "kind": "libsvm_logistic",
+                                 "path": str(path)},
+                                {"kind": "synth_mlp", "n": 60, "d": 6,
+                                 "classes": 3, "hidden": 4, "seed": 2}):
+            cfg = parse_config({**BASE, "problem": problem_section,
+                                "run": {"loss_target": "auto",
+                                        "oracle_iters": 300}})
+            problem = build_problem(cfg.problem)
+            if problem_section.get("path"):
+                assert not isinstance(problem.data.matrix, np.ndarray)
+            target = resolve_loss_target(cfg, problem)
+            start, best = oracle_best_loss(problem, 300)
+            assert start == problem.objective(problem.initial_point())
+            assert target == pytest.approx(best + 0.1 * (start - best))
 
     def test_mlp_run_moves_first_layer(self):
         # from all-zero weights every ReLU is dead and W1 never moves

@@ -23,8 +23,10 @@ from dqsim.problems import (
     LogisticProblem,
     gradient_mapping_norm,
     logistic_problem,
+    mlp_problem,
     soft_threshold,
     synth_dataset,
+    synth_multiclass_dataset,
 )
 from dqsim.quantizer import (
     choose_bx,
@@ -234,14 +236,15 @@ class TestModelMessage:
 def reference_model_message(x, snap, cfg, rng, mu_scale):
     """``model_message`` for a model-quantizing algorithm, composed from the
     public quantizer functions."""
-    diag = {"mu_required": None, "mu_probes": {}, "b_x_used": None,
+    diag = {"mu_required": None, "b_x_used": None,
             "violation": False, "search_failed": False}
     if np.array_equal(x, snap):
         return MessageKind.FLAG, 1, None, None, diag
     diff_sq = float(np.sum((x - snap) ** 2))
     budget = mu_scale * cfg.mu * diff_sq
     diag["mu_required"] = mu_required(x, snap, cfg.b_x)
-    diag["mu_probes"] = {w: mu_required(x, snap, w) for w in cfg.mu_probe_widths}
+    diag.update({f"mu_required_b{w}": mu_required(x, snap, w)
+                 for w in cfg.mu_probe_widths})
     b_use = cfg.b_x
     if diag["mu_required"] * diff_sq > budget:
         if cfg.bx_adapt:
@@ -481,15 +484,14 @@ class TestTheoryConstants:
         assert lhs == pytest.approx(1.0, abs=1e-9)
         assert 0 < rho < 0.5
 
-    def test_rate_bound_arithmetic(self):
-        prob = QuadProblem(n=4, d=10)
-        cfg = AlgoConfig(algo=Algorithm.ASYLPG, b=32, b_x=32, m=5, epochs=4,
-                         eta=0.01)
-        x0 = np.ones(10)
-        report = theory_constants(cfg, prob, p_star=0.0, x0=x0)
-        rho = 0.01 * 1.0
-        expected = 2 * 1.0 * (prob.objective(x0) - 0.0) / (rho * (1 - 2 * rho) * 20)
-        assert report["rate_bound"] == pytest.approx(expected)
+    def test_none_where_theory_does_not_apply(self):
+        # no smoothness estimate, or a sparse run without a budget phi
+        mlp = mlp_problem(synth_multiclass_dataset(30, 4, 3, 1), hidden=3,
+                          num_classes=3)
+        assert mlp.smoothness is None
+        assert theory_constants(AlgoConfig(algo=Algorithm.ASYLPG), mlp) is None
+        cfg = AlgoConfig(algo=Algorithm.SPARSE_ASYLPG, phi=None)
+        assert theory_constants(cfg, QuadProblem(n=4, d=10)) is None
 
     def test_momentum_tau_bound_reports_binding_epoch(self):
         prob = QuadProblem(n=4, d=64)
