@@ -34,18 +34,21 @@ def _apply_overrides(config, args):
     raw = config.to_dict()
     if args.seed is not None:
         raw["run"]["seed"] = args.seed
-    if args.out is not None:
+    if getattr(args, "out", None) is not None:
         raw["run"]["out_dir"] = args.out
-    if args.algo is not None:
+    if getattr(args, "algo", None) is not None:
         raw["algo"]["algo"] = args.algo
     return parse_config(raw)
 
 
-def _add_common(sub):
+def _add_common(sub, out: bool = True, algo: bool = True):
+    """--config, --seed, and the --out and --algo overrides it reads."""
     sub.add_argument("--config", required=True, help="path to a JSON config")
     sub.add_argument("--seed", type=int, default=None, help="override run seed")
-    sub.add_argument("--out", default=None, help="override output directory")
-    sub.add_argument("--algo", default=None, help="override algorithm name")
+    if out:
+        sub.add_argument("--out", help="override output directory")
+    if algo:
+        sub.add_argument("--algo", help="override algorithm name")
 
 
 def main(argv=None) -> int:
@@ -56,7 +59,7 @@ def main(argv=None) -> int:
     _add_common(p_run)
 
     p_grid = subs.add_parser("grid-search", help="constant learning-rate sweep")
-    _add_common(p_grid)
+    _add_common(p_grid, out=False)  # writes no file
     p_grid.add_argument(
         "--grid", default="1e-1,5e-2,1e-2,5e-3,1e-3,5e-4,1e-4,5e-5,1e-5",
         help="comma-separated learning rates",
@@ -68,8 +71,10 @@ def main(argv=None) -> int:
     p_mu.add_argument("--widths", default="4,8",
                       help="comma-separated probe bit widths")
 
-    p_cmp = subs.add_parser("compare", help="compare algorithms on one problem")
-    _add_common(p_cmp)
+    # no abbreviations, so the dropped --algo is not read as --algos
+    p_cmp = subs.add_parser("compare", help="compare algorithms on one problem",
+                            allow_abbrev=False)
+    _add_common(p_cmp, algo=False)  # --algos names every run
     p_cmp.add_argument(
         "--algos",
         default="asyfpg,acc_asyfpg,qsvrg,asylpg,sparse_asylpg,acc_asylpg",
@@ -113,21 +118,19 @@ def _run(args) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
-    if args.command == "compare":
-        names = [v.strip() for v in args.algos.split(",") if v.strip()]
-        configs = []
-        for name in names:
-            raw = config.to_dict()
-            raw["algo"]["algo"] = name
-            if raw["run"]["out_dir"]:
-                raw["run"]["out_dir"] = str(Path(raw["run"]["out_dir"]) / name)
-            configs.append(parse_config(raw))
-        outcome = compare_suite(configs)
-        table = {"loss_target": outcome["loss_target"], "table": outcome["table"]}
-        print(json.dumps(table, indent=2, sort_keys=True))
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # compare
+    names = [v.strip() for v in args.algos.split(",") if v.strip()]
+    configs = []
+    for name in names:
+        raw = config.to_dict()
+        raw["algo"]["algo"] = name
+        if raw["run"]["out_dir"]:
+            raw["run"]["out_dir"] = str(Path(raw["run"]["out_dir"]) / name)
+        configs.append(parse_config(raw))
+    outcome = compare_suite(configs)
+    table = {"loss_target": outcome["loss_target"], "table": outcome["table"]}
+    print(json.dumps(table, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ A message holds its kind, its counted bits and its typed value. The
 simulator consumes the value and the ledger charges the bits, so the
 physical stream is packed only on request, each time ``payload`` is read.
 Everything that can make a message unsendable (a code width past 32 bits, a
-scale or value past binary32) is checked when the message is built.
+scale or value at or past the binary32 limit ``2^128 - 2^103``, from which
+a value rounds to infinity) is checked when the message is built.
 
 Wire layout (version 1), after the tag byte:
 
@@ -80,6 +81,8 @@ _TAGS = {
     MessageKind.SPARSE: 0x10 | 0x3,
     MessageKind.FLAG: 0x10 | 0x4,
 }
+
+_BINARY32_LIMIT = 2.0**128 - 2.0**103  # the least magnitude that rounds to inf
 
 Content = Union[np.ndarray, LowPrecisionVector, SparseLowPrecisionVector, None]
 
@@ -174,18 +177,15 @@ def _pack_message(kind: MessageKind, content: Content) -> bytes:
 
 
 def check_sendable(kind: MessageKind, grid: QuantGrid) -> None:
-    """Codes must fit the wire's width and the scale must fit binary32: a
-    scale that ``struct.pack`` cannot pack raises ``OverflowError`` naming
-    the message kind and the scale."""
+    """Codes must fit the wire's width and the scale must be below the binary32
+    limit, else ``OverflowError`` names the message kind and the scale."""
     if grid.bits > FULL_PRECISION_BITS:
         raise ValueError(
             f"cannot encode codes wider than {FULL_PRECISION_BITS} bits, got {grid.bits}"
         )
-    try:
-        struct.pack(">f", grid.delta)
-    except OverflowError:
+    if grid.delta >= _BINARY32_LIMIT:
         raise OverflowError(f"{kind.value} message scale {grid.delta!r} "
-                            "too large for binary32") from None
+                            "too large for binary32")
 
 
 def encode_dense(q: LowPrecisionVector) -> WireMessage:
@@ -211,9 +211,8 @@ def encode_full(v) -> WireMessage:
     ``OverflowError``, as the scale of a quantized message does, so the wire
     never carries an infinity the simulator does not hold."""
     arr = _as_vector(v)
-    with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(arr.astype(np.float32))):
-            raise OverflowError("value too large for binary32")
+    if arr.max() >= _BINARY32_LIMIT or arr.min() <= -_BINARY32_LIMIT:
+        raise OverflowError("value too large for binary32")
     return WireMessage(MessageKind.FULL, full_bits(arr.size), arr)
 
 

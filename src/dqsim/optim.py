@@ -7,8 +7,9 @@ quantized / full precision, by algorithm), a worker computes the per-batch
 gradient difference against the snapshot at the model it received, compresses
 it (quantize, sparsify-then-quantize, or neither), and the master applies the
 variance-reduced proximal step. Bit width 32 selects the uncompressed path on
-either side, so the full-precision baselines are the quantized algorithms
-with both widths at 32.
+either side. The full-precision baselines (asyfpg, acc_asyfpg) send the model
+and the gradient in full precision at any width and never send the snapshot
+flag.
 
 The momentum variant keeps an auxiliary iterate and recouples the broadcast
 iterate toward the previous snapshot with a decaying weight, tightening the
@@ -102,7 +103,7 @@ class AlgoConfig:
     b_x: int = 8  # model bit width
     b: int = 8  # gradient bit width
     mu: float = 0.1  # model precision-loss budget
-    phi: Optional[float] = None  # sparsity budget; None = per-message maximum
+    phi: Optional[float] = None  # sparsity budget cap; None = each message's max
     tau: int = 0  # staleness cap
     sigma: float = 2.0  # momentum step-size constant, > 1
     batch_size: int = 1
@@ -326,22 +327,25 @@ def gradient_message(
 ) -> WireMessage:
     """Compress one gradient difference for the upstream direction."""
     if cfg.algo is Algorithm.SPARSE_ASYLPG:
-        d = alpha.size
+        # a zero gradient, or a draw that keeps nothing, sends no entries
+        empty = np.zeros(0, dtype=np.int64)
+        grid, indices, codes = QuantGrid(0.0, cfg.b), empty, empty
         if np.any(alpha):
             phi = budget_max(alpha) if cfg.phi is None else clamp_budget(alpha, cfg.phi)
             beta = sparsify(alpha, optimal_plan(alpha, phi), rng)
             if beta.nnz:
                 q = quantize_vector(beta.values, cfg.b, rng)
-                return codec.encode_sparse(
-                    SparseLowPrecisionVector(q.grid, d, beta.indices, q.codes)
-                )
-        empty = np.zeros(0, dtype=np.int64)
+                grid, indices, codes = q.grid, beta.indices, q.codes
         return codec.encode_sparse(
-            SparseLowPrecisionVector(QuantGrid(0.0, cfg.b), d, empty, empty)
-        )
-    if cfg.algo in _GRAD_QUANTIZED and cfg.b < FULL_PRECISION_BITS:
+            SparseLowPrecisionVector(grid, alpha.size, indices, codes))
+    if _gradient_bits(cfg) < FULL_PRECISION_BITS:
         return codec.encode_dense(quantize_vector(alpha, cfg.b, rng))
     return codec.encode_full(alpha)
+
+
+def _gradient_bits(cfg: AlgoConfig) -> int:
+    """Width a gradient travels at: ``b`` where the algorithm quantizes it."""
+    return cfg.b if cfg.algo in _GRAD_QUANTIZED else FULL_PRECISION_BITS
 
 
 def theory_rho(cfg: AlgoConfig, d: int) -> float:
@@ -361,7 +365,7 @@ def _variance_factor(cfg: AlgoConfig, d: int) -> float:
             raise ValueError("sparse stability factor needs a budget phi")
         gamma = _gamma_sparse(d, cfg.phi, cfg.b)
         return (mu + 1.0) * gamma
-    return (mu + 1.0) * (_delta_dense(d, cfg.b) + 2.0)
+    return (mu + 1.0) * (_delta_dense(d, _gradient_bits(cfg)) + 2.0)
 
 
 def _delta_dense(d: int, b: int) -> float:
@@ -377,10 +381,10 @@ def _gamma_sparse(d: int, phi: float, b: int) -> float:
     return d * d / (4.0 * phi * m2) + d / phi + 1.0
 
 
-def _acc_tau_bound(theta: float, mu: float, d: int, b: int, sigma: float) -> float:
-    delta = d / ((1 << (b - 1)) - 1) ** 2 + 2.0
+def _acc_tau_bound(theta: float, mu: float, delta: float, sigma: float) -> float:
+    """Momentum staleness bound at weight ``theta``, from the reported ``delta``."""
     gamma = 1.0 + 2.0 * theta * mu
-    base = 2.0 / (gamma * theta) + theta * delta
+    base = 2.0 / (gamma * theta) + theta * (4.0 * delta + 2.0)
     return (math.sqrt(base**2 + 4.0 * (sigma - 1.0) / gamma) - base) / 2.0
 
 
@@ -399,13 +403,13 @@ def theory_constants(cfg: AlgoConfig, problem: CompositeProblem) -> Optional[dic
     if L is None or (cfg.algo is Algorithm.SPARSE_ASYLPG and cfg.phi is None):
         return None
     d = problem.d
-    report: dict = {"L": L, "d": d, "m": cfg.m, "tau": cfg.tau,
-                    "delta": _delta_dense(d, cfg.b)}
+    delta = _delta_dense(d, _gradient_bits(cfg))
+    report: dict = {"L": L, "d": d, "m": cfg.m, "tau": cfg.tau, "delta": delta}
 
     if cfg.algo in _ACCELERATED:
         mu = cfg.mu if cfg.algo in _MODEL_QUANTIZED else 0.0
         thetas = [momentum_weight(s) for s in range(1, cfg.epochs + 1)]
-        bounds = [[s, _acc_tau_bound(theta, mu, d, cfg.b, cfg.sigma)]
+        bounds = [[s, _acc_tau_bound(theta, mu, delta, cfg.sigma)]
                   for s, theta in enumerate(thetas, 1)]
         binding_s, binding = min(bounds, key=lambda sb: sb[1])
         report.update(tau_bound_per_epoch=bounds, tau_bound_binding_epoch=binding_s,
@@ -503,7 +507,7 @@ def run_training(
         """Master side of a dispatch: broadcast message plus diagnostics."""
         msg, diag = model_message(x, snapshot, cfg, master_rng, mu_scale=theta)
         ledger.record_message(len(metrics), "down", msg)
-        if msg.kind is not MessageKind.FLAG and diag["b_x_used"] is not None:
+        if diag["b_x_used"] is not None:  # None for a flag or a full baseline
             broadcasts.append({"epoch": epoch, "version": version, **diag})
         return msg, diag
 

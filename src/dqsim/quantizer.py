@@ -58,6 +58,21 @@ def _as_vector(v, name: str = "v") -> np.ndarray:
     return arr
 
 
+def _sparse_indices(dim: int, indices, entries: np.ndarray, name: str) -> np.ndarray:
+    """``indices`` as int64, checked as the index set of a sparse vector of
+    dimension ``dim`` whose other array ``entries`` is called ``name``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if idx.shape != entries.shape or idx.ndim != 1:
+        raise ValueError(f"indices and {name} must be 1-d arrays of equal length")
+    if idx.size and (idx[0] < 0 or idx[-1] >= dim):
+        raise ValueError("indices out of range")
+    if (np.diff(idx) <= 0).any():
+        raise ValueError("indices must be strictly increasing")
+    return idx
+
+
 @dataclass(frozen=True)
 class QuantGrid:
     """Uniform signed grid: scaling factor ``delta`` and bit width ``bits``.
@@ -126,21 +141,13 @@ class SparseLowPrecisionVector:
     codes: np.ndarray  # int64, same length as indices
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
         codes = np.asarray(self.codes, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices",
+                           _sparse_indices(self.dim, self.indices, codes, "codes"))
         object.__setattr__(self, "codes", codes)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if idx.shape != codes.shape or idx.ndim != 1:
-            raise ValueError("indices and codes must be 1-d arrays of equal length")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError("indices out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if codes.min() < self.grid.code_min or codes.max() > self.grid.code_max:
-                raise ValueError("codes outside representable range of the grid")
+        if codes.size and (codes.min() < self.grid.code_min
+                           or codes.max() > self.grid.code_max):
+            raise ValueError("codes outside representable range of the grid")
 
     @property
     def nnz(self) -> int:

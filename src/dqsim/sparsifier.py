@@ -11,12 +11,11 @@ at that choice the second moment equals ``||alpha||_1^2 / phi``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import _as_vector
+from .quantizer import _as_vector, _sparse_indices
 
 __all__ = [
     "SparsePlan",
@@ -25,8 +24,6 @@ __all__ = [
     "optimal_plan",
     "sparsify",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Tolerance for Sum(p) == budget and for p_i creeping above 1 by rounding.
 _P_TOL = 1e-12
@@ -48,9 +45,10 @@ class SparsePlan:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a non-empty 1-d array")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        # each check is written so that NaN fails it
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - self.budget) > 1e-9 * p.size:
+        if not abs(float(p.sum()) - self.budget) <= 1e-9 * p.size:
             raise ValueError("sum of probabilities does not match the budget")
 
     @property
@@ -64,24 +62,15 @@ class SparseRealVector:
 
     dim: int
     indices: np.ndarray  # int64
-    values: np.ndarray  # float64, nonzero
+    values: np.ndarray  # float64, finite and nonzero
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
         vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices",
+                           _sparse_indices(self.dim, self.indices, vals, "values"))
         object.__setattr__(self, "values", vals)
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if idx.shape != vals.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-d arrays of equal length")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError("indices out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if np.any(vals == 0.0):
-                raise ValueError("stored values must be nonzero")
+        if not (np.isfinite(vals) & (vals != 0.0)).all():
+            raise ValueError("stored values must be finite and nonzero")
 
     @property
     def nnz(self) -> int:
@@ -98,14 +87,11 @@ def budget_max(alpha) -> float:
 
 
 def clamp_budget(alpha, phi: float) -> float:
-    """Clamp a user-supplied budget into (0, budget_max], warning on clamps."""
-    cap = budget_max(alpha)
-    if phi > cap:
-        logger.warning("sparsity budget %.6g exceeds ||a||_1/||a||_inf=%.6g; clamping", phi, cap)
-        return cap
-    if phi <= 0.0:
+    """The budget a message is sent at: a configured ``phi`` capped at
+    ``budget_max(alpha)``, past which the optimal plan does not exist."""
+    if not phi > 0.0:
         raise ValueError(f"sparsity budget must be positive, got {phi}")
-    return phi
+    return min(phi, budget_max(alpha))
 
 
 def optimal_plan(alpha, phi: float) -> SparsePlan:
@@ -119,7 +105,7 @@ def optimal_plan(alpha, phi: float) -> SparsePlan:
     l1 = float(absa.sum())
     if l1 == 0.0:
         raise ValueError("cannot build a plan for the zero vector")
-    if phi <= 0.0:
+    if not phi > 0.0:
         raise ValueError(f"budget must be positive, got {phi}")
     cap = l1 / float(absa.max())  # budget_max(alpha) from the same reductions
     if phi > cap * (1.0 + _P_TOL):
@@ -141,8 +127,8 @@ def sparsify(alpha, plan: SparsePlan, rng: np.random.Generator) -> SparseRealVec
     if alpha.size != plan.dim:
         raise ValueError("plan dimension does not match alpha")
     u = rng.random(alpha.size)
-    keep = (u < plan.probs) & (plan.probs > 0.0)
-    idx = np.nonzero(keep)[0].astype(np.int64)
+    # u lies in [0, 1), so a coordinate with p_i = 0 is never kept
+    idx = np.nonzero(u < plan.probs)[0].astype(np.int64)
     vals = alpha[idx] / plan.probs[idx]
     nz = vals != 0.0  # alpha_i == 0 with p_i > 0 decodes to nothing
     return SparseRealVector(alpha.size, idx[nz], vals[nz])

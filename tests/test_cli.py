@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,28 @@ def test_algo_override(config_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["algo"]["algo"] == "asyfpg"
+
+
+@pytest.mark.parametrize("argv", [["compare", "--algo", "asyfpg"],
+                                  ["grid-search", "--out", "out"]])
+def test_unread_options_rejected(config_path, argv):
+    # compare names each run's algorithm with --algos; grid-search writes no file
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(config_path), *argv[1:]])
+    assert exc.value.code == 2
+
+
+def test_console_script_entry_point(capsys):
+    # the installed ``dqsim`` command is the pyproject entry point, not main
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["dqsim"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dqsim")
 
 
 def test_grid_search_subcommand(config_path, capsys):

@@ -8,6 +8,7 @@ from dqsim.codec import (
     BitLedger,
     MessageKind,
     WireMessage,
+    check_sendable,
     decode_dense,
     decode_full,
     decode_sparse,
@@ -216,6 +217,20 @@ class TestRoundtrips:
             encode_sparse(SparseLowPrecisionVector(
                 grid, 8, np.array([2], dtype=np.int64), np.array([1], dtype=np.int64)
             ))
+
+    def test_binary32_limit_is_the_edge(self):
+        # 2^128 - 2^103 is halfway between the largest binary32 value and
+        # 2^128, so it rounds to infinity; the float below it does not
+        limit = 2.0**128 - 2.0**103
+        below = math.nextafter(limit, 0.0)
+        for kind in (MessageKind.DENSE, MessageKind.SPARSE):
+            with pytest.raises(OverflowError):
+                check_sendable(kind, QuantGrid(limit, 4))
+            check_sendable(kind, QuantGrid(below, 4))
+        for sign in (1.0, -1.0):
+            with pytest.raises(OverflowError):
+                encode_full(np.array([0.0, sign * limit]))
+            encode_full(np.array([0.0, sign * below]))
 
     def test_full_beyond_binary32_overflows(self):
         with pytest.raises(OverflowError):

@@ -135,9 +135,9 @@ CONFIG_DIGESTS = {
 
 # case: sha256 of report.json, with the temporary directory as "<tmp>"
 REPORT_DIGESTS = {
-    'acc_asyfpg': 'b01e6fb8224071aebc48f6022c41256b13455d92a625b962429a9dffd1d68ec4',
+    'acc_asyfpg': '8d85a0a583223724a2e9595876e909fd5f55da72ee69357628000e3469053942',
     'acc_asylpg': 'a9ade682a45d5d3b62ebb9eccb579d589ae9904e5b27c4a6e3433c8f6de6e235',
-    'asyfpg': '6f179c864a1afecbb05fa63521c5c0ab18f8638225296e4a31d4b146dcc88e55',
+    'asyfpg': '55cc4f39c27cd0a535a646b9910b2c11f1850462db5e7a68fe8a0d0cba1a0fed',
     'asylpg': '029dfcfb9eb99b00d3cc8827451f526dc3cb15bb95efb6e306ba4ea2a26b536a',
     'asylpg_theory': 'a7aac2ee2b1e5a040f3d6ef9f64597888a185abe1474fa2f7e60d930ae3a735d',
     'libsvm_csr': 'e1baa24b4c3e86c6835d6974e8a6e6ea94faeb48b5a8afb2d26852a71871c5f2',

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -331,6 +332,20 @@ class TestRunExperiment:
         run_experiment(cfg)
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["search_failures"] == 14 and report["violations"] == 0
+
+    def test_capped_sparsity_budget_logs_nothing(self, caplog, tmp_path):
+        # a message's cap ||a||_1/||a||_inf is at most d = 10, so phi 20
+        # exceeds every cap; each message is sent at its cap, silently
+        raw = {"problem": {"kind": "synth_logistic", "n": 100, "d": 10, "seed": 1},
+               "algo": {"algo": "sparse_asylpg", "epochs": 2, "m": 5, "phi": 20.0},
+               "workers": {"count": 2},
+               "run": {"loss_target": None, "out_dir": str(tmp_path)}}
+        with caplog.at_level("WARNING"):
+            run_experiment(parse_config(raw))
+        assert not caplog.records
+        with open(tmp_path / "metrics.csv") as fh:
+            sent = [int(row["nnz_sent"]) for row in csv.DictReader(fh)]
+        assert len(sent) == 10 and all(0 <= nnz <= 10 for nnz in sent)
 
     def test_threshold_never_crossed(self):
         rep = run_experiment(base_config(loss_target=1e-9))

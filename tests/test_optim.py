@@ -474,6 +474,19 @@ class TestTheoryConstants:
         )
         assert report["serial_condition"] == pytest.approx(4 * rho**2 * 100 + rho)
 
+    @pytest.mark.parametrize("algo", [Algorithm.ASYFPG, Algorithm.ACC_ASYFPG])
+    def test_full_precision_gradients_at_any_width(self, algo):
+        # the baselines send exact gradients at any b, so their theory is
+        # that of width 32
+        prob = QuadProblem(n=4, d=64)
+
+        def theory(b):
+            return theory_constants(AlgoConfig(algo=algo, b=b, m=10, eta=0.01,
+                                               tau=2, epochs=3), prob)
+
+        assert theory(8) == theory(32)
+        assert theory(8)["delta"] == 0.0
+
     def test_theory_rho_saturates_condition(self):
         cfg = AlgoConfig(algo=Algorithm.ASYLPG, b=8, b_x=8, mu=0.1, m=25, tau=3,
                          eta_mode="theory")

@@ -248,6 +248,7 @@ class TestTypes:
         for dim, idx, codes, match in [
                 (0, [], [], "dim"), (3, [0, 1], [1], "equal length"),
                 (3, [1, 1], [1, 1], "strictly increasing"),
+                (3, [3], [1], "out of range"),
                 (3, [0], [2], "outside representable range")]:
             with pytest.raises(ValueError, match=match):
                 SparseLowPrecisionVector(grid, dim, np.array(idx, dtype=np.int64),
