@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from pathlib import Path
 
 from .harness import (
     compare_suite,
@@ -33,7 +33,7 @@ from .harness import (
 def _apply_overrides(config, args):
     raw = config.to_dict()
     if args.seed is not None:
-        raw["run"]["seed"] = args.seed
+        raw["algo"]["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         raw["run"]["out_dir"] = args.out
     if getattr(args, "algo", None) is not None:
@@ -44,7 +44,7 @@ def _apply_overrides(config, args):
 def _add_common(sub, out: bool = True, algo: bool = True):
     """--config, --seed, and the --out and --algo overrides it reads."""
     sub.add_argument("--config", required=True, help="path to a JSON config")
-    sub.add_argument("--seed", type=int, default=None, help="override run seed")
+    sub.add_argument("--seed", type=int, default=None, help="override algo.seed")
     if out:
         sub.add_argument("--out", help="override output directory")
     if algo:
@@ -102,32 +102,21 @@ def _run(args) -> int:
         grid = [float(v) for v in args.grid.split(",") if v]
         best, results = lr_grid_search(config, grid,
                                        budget_epochs=args.budget_epochs)
-        print(json.dumps({"best_lr": best, "final_losses": results}, indent=2))
+        losses = {lr: loss if math.isfinite(loss) else None
+                  for lr, loss in results.items()}  # JSON has no Infinity
+        print(json.dumps({"best_lr": best, "final_losses": losses}, indent=2))
         return 0
 
     if args.command == "mu-trace":
         widths = [int(v) for v in args.widths.split(",") if v]
-        out_path = None
-        out_dir = config.run.out_dir
-        if out_dir:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            out_path = str(Path(out_dir) / "mu_trace.csv")
-        summary = figure_mu_trace(config, probe_widths=widths, out_path=out_path)
-        summary = {k: v for k, v in summary.items() if k != "rows"}
-        summary["csv"] = out_path
+        summary = figure_mu_trace(config, probe_widths=widths)
+        del summary["rows"]
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
     # compare
     names = [v.strip() for v in args.algos.split(",") if v.strip()]
-    configs = []
-    for name in names:
-        raw = config.to_dict()
-        raw["algo"]["algo"] = name
-        if raw["run"]["out_dir"]:
-            raw["run"]["out_dir"] = str(Path(raw["run"]["out_dir"]) / name)
-        configs.append(parse_config(raw))
-    outcome = compare_suite(configs)
+    outcome = compare_suite(config, names)
     table = {"loss_target": outcome["loss_target"], "table": outcome["table"]}
     print(json.dumps(table, indent=2, sort_keys=True))
     return 0

@@ -102,10 +102,9 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The ``run`` section: output directory, seed override and loss target."""
+    """The ``run`` section: output directory and loss target."""
 
     out_dir: Optional[str] = None
-    seed: Optional[int] = None  # overrides algo.seed when set
     loss_target: float | str | None = "auto"  # number, "auto", or None to skip
     oracle_iters: int = 2000
 
@@ -119,8 +118,6 @@ class RunConfig:
                              f"or null; got {target!r}")
         if self.oracle_iters < 0:
             raise ValueError(f"run.oracle_iters must be >= 0, got {self.oracle_iters!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"run.seed must be >= 0 when set, got {self.seed!r}")
 
 
 _FIXED_ONE_TICK = {"kind": "fixed", "ticks": 1}
@@ -141,8 +138,7 @@ class ExperimentConfig:
         return asdict(self)  # a deep copy
 
     def algo_config(self) -> AlgoConfig:
-        config, seed = AlgoConfig(**self.algo), self.run.seed
-        return config if seed is None else replace(config, seed=seed)
+        return AlgoConfig(**self.algo)
 
 
 @dataclass
@@ -184,6 +180,11 @@ def _section(cls, raw: Optional[dict], name: str):
         raise ValueError(f"unknown key in config section {name!r}: {exc}") from exc
 
 
+def _algo_section(raw: Optional[dict]) -> dict:
+    """The ``algo`` section checked as an ``AlgoConfig``, in its JSON form."""
+    return json.loads(json.dumps(asdict(_section(AlgoConfig, raw, "algo"))))
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Materialize all defaults; unknown keys are errors (validated before
     any compute)."""
@@ -193,14 +194,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     problem = _section(ProblemConfig, raw.get("problem"), "problem")
-    algo = _section(AlgoConfig, raw.get("algo"), "algo")
+    algo = _algo_section(raw.get("algo"))
     workers = _section(_workers_section, raw.get("workers"), "workers")
     build_workers(workers)
-    if problem.kind == "synth_mlp" and algo.eta_mode == "theory":
+    if problem.kind == "synth_mlp" and algo["eta_mode"] == "theory":
         raise ValueError("algo.eta_mode 'theory' needs a smoothness estimate, "
                          "which problem kind 'synth_mlp' lacks")
-    return ExperimentConfig(problem, json.loads(json.dumps(asdict(algo))),
-                            workers, _section(RunConfig, raw.get("run"), "run"))
+    return ExperimentConfig(problem, algo, workers,
+                            _section(RunConfig, raw.get("run"), "run"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -399,25 +400,30 @@ def lr_grid_search(config: ExperimentConfig, grid: Sequence[float],
 
 
 def figure_mu_trace(config: ExperimentConfig,
-                    probe_widths: Sequence[int] = (4, 8),
-                    out_path=None) -> dict:
+                    probe_widths: Sequence[int] = (4, 8)) -> dict:
     """Per-broadcast required-precision-budget trace plus a spike summary.
 
     Probe widths are evaluated on the same pinned trajectory (the required
     budget is a pure function of the broadcast iterate and snapshot), so
-    coarser and finer widths are compared on identical iterates.
+    coarser and finer widths are compared on identical iterates. The trace
+    goes to ``mu_trace.csv`` in ``run.out_dir``, whose path the summary's
+    ``csv`` holds (``None`` with no ``out_dir``), and its rows to ``rows``.
     """
     widths = sorted(set(probe_widths))
     acfg = replace(config.algo_config(), mu_probe_widths=widths)
     problem = build_problem(config.problem)
     result = run_training(problem, acfg, build_workers(config.workers))
     rows = result.broadcasts
-    if out_path:
+    csv = None
+    if config.run.out_dir:
+        out = Path(config.run.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        csv = str(out / "mu_trace.csv")
         columns = ["epoch", "version", "mu_required", "b_x_used", "violation"]
         columns += [f"mu_required_b{w}" for w in widths]
-        write_csv(out_path, columns, ([row.get(k) for k in columns] for row in rows))
+        write_csv(csv, columns, ([row.get(k) for k in columns] for row in rows))
     summary = _mu_summary(rows, acfg.m, widths)
-    summary["rows"] = rows
+    summary.update(csv=csv, rows=rows)
     return summary
 
 
@@ -458,24 +464,29 @@ def _pool_run(config: ExperimentConfig) -> RunReport:
     return _pool_state["run"](config)
 
 
-def compare_suite(configs: Sequence[ExperimentConfig],
-                  loss_target: Optional[float] = None) -> dict:
-    """Run several algorithms on one shared problem and tabulate
+def compare_suite(config: ExperimentConfig, algos: Sequence[str]) -> dict:
+    """Run ``config`` once per algorithm in ``algos``, into
+    ``<out_dir>/<algo>`` when ``run.out_dir`` is set, on the one problem it
+    builds and to the loss target of its ``run`` section; tabulate
     bits/epochs-to-target with ratios normalized to the full-precision
-    baseline (ratio = baseline bits / algorithm bits)."""
-    if len(configs) < 2:
-        raise ValueError("need at least two configs to compare")
-    base = configs[0].problem
-    for c in configs[1:]:
-        if c.problem != base:
-            raise ValueError("compared configs must share the problem section")
+    baseline (ratio = baseline bits / algorithm bits). Each algorithm's
+    section is checked as ``parse_config`` checks it, and a name given twice
+    is refused, before set-up."""
+    if len(algos) < 2:
+        raise ValueError("need at least two algorithms to compare")
+    if len(set(algos)) < len(algos):
+        raise ValueError(f"an algorithm is named more than once in {list(algos)}")
+    out_dir = config.run.out_dir
+    configs = [replace(config, algo=_algo_section({**config.algo, "algo": name}),
+                       run=replace(config.run,
+                                   out_dir=out_dir and str(Path(out_dir) / name)))
+               for name in algos]
     threads = os.environ.get("DQSIM_THREADS", "1")
     if not threads.isdecimal() or int(threads) < 1:  # checked before set-up
         raise ValueError(f"DQSIM_THREADS must be an integer >= 1, got {threads!r}")
     threads = int(threads)
-    problem = build_problem(base)
-    if loss_target is None:
-        loss_target = resolve_loss_target(configs[0], problem)
+    problem = build_problem(config.problem)
+    loss_target = resolve_loss_target(config, problem)
 
     run = partial(run_experiment, problem=problem, loss_target=loss_target)
     if threads > 1:
@@ -488,25 +499,15 @@ def compare_suite(configs: Sequence[ExperimentConfig],
     else:
         reports = list(map(run, configs))
 
-    table = []
-    baseline_bits = None
-    for cfg, rep in zip(configs, reports):
-        name = cfg.algo["algo"]
-        if name == Algorithm.ASYFPG.value and baseline_bits is None:
-            baseline_bits = rep.bits_to_target
-        table.append(
-            {
-                "algo": name,
-                "bits_to_target": rep.bits_to_target,
-                "epochs_to_target": rep.epochs_to_target,
-                "total_bits": rep.total_bits,
-                "final_loss": rep.final_loss,
-                "target_reached": rep.target_reached,
-            }
-        )
-    for row in table:
-        if baseline_bits and row["bits_to_target"]:
-            row["ratio_vs_asyfpg"] = baseline_bits / row["bits_to_target"]
-        else:
-            row["ratio_vs_asyfpg"] = None
+    baseline_bits = next((rep.bits_to_target for cfg, rep in zip(configs, reports)
+                          if cfg.algo["algo"] == Algorithm.ASYFPG.value), None)
+    table = [{"algo": cfg.algo["algo"],
+              "bits_to_target": rep.bits_to_target,
+              "epochs_to_target": rep.epochs_to_target,
+              "total_bits": rep.total_bits,
+              "final_loss": rep.final_loss,
+              "target_reached": rep.target_reached,
+              "ratio_vs_asyfpg": (baseline_bits / rep.bits_to_target
+                                  if baseline_bits and rep.bits_to_target else None)}
+             for cfg, rep in zip(configs, reports)]
     return {"loss_target": loss_target, "table": table, "reports": reports}

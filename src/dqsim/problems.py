@@ -79,9 +79,10 @@ class Dataset:
     array. Neither is converted to the other. The CSR array wraps the input
     arrays without copying them, a strided one made contiguous: they are
     its ``indptr``, ``indices`` and ``values``, which a dense-stored
-    dataset does not have. A gathered batch of rows takes the ``bincount``,
-    as scipy's fancy row indexing copies the rows first and measured
-    3-4.5x slower at 50 rows.
+    dataset does not have. Both storages refuse a NaN or infinite feature
+    value. A gathered batch of rows takes the ``bincount``, as scipy's
+    fancy row indexing copies the rows first and measured 3-4.5x slower at
+    50 rows.
     """
 
     def __init__(self, indptr, indices, values, labels, d: int):
@@ -99,8 +100,6 @@ class Dataset:
             raise ValueError("indptr must end at the number of indices")
         if values.shape != indices.shape:
             raise ValueError("values and indices must have the same length")
-        if not np.isfinite(values).all():
-            raise ValueError("feature values must be finite")
         if indices.size and not 0 <= indices.min() <= indices.max() < d:
             raise ValueError("feature index outside [0, d)")
         # imported here, not at module top: scipy adds about 22 MB of
@@ -117,6 +116,10 @@ class Dataset:
         if self.labels.shape != (self.n,):
             raise ValueError("need one label per row")
         self._dense = matrix if isinstance(matrix, np.ndarray) else None
+        # NaN carries through max and min, which make no n x d temporary
+        values = matrix.data if self._dense is None else matrix
+        if values.size and not -np.inf < values.min() <= values.max() < np.inf:
+            raise ValueError("feature values must be finite")
         if self._dense is None:
             self._csr, self.indptr = matrix, matrix.indptr
             self.indices, self.values = matrix.indices, matrix.data

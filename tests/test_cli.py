@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,48 @@ def test_run_subcommand(config_path, tmp_path, capsys):
     assert (out / "metrics.csv").exists()
     assert (out / "ledger.csv").exists()
     assert (out / "report.json").exists()
-    assert report["config"]["run"]["seed"] == 9
+    assert report["config"]["algo"]["seed"] == 9
+    assert "seed" not in report["config"]["run"]
+
+
+def test_seed_option_is_algo_seed(config_path, tmp_path, capsys):
+    # --seed writes algo.seed, the one seed of a run
+    raw = json.loads(config_path.read_text())
+    raw["algo"]["seed"] = 9
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(config_path), "--seed", "9",
+                 "--out", str(tmp_path / "option")]) == 0
+    assert main(["run", "--config", str(seeded),
+                 "--out", str(tmp_path / "config")]) == 0
+    for name in ("metrics.csv", "ledger.csv", "trace.csv"):
+        assert (tmp_path / "option" / name).read_bytes() == \
+            (tmp_path / "config" / name).read_bytes()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["mu-trace"], ["compare", "--algos", "asyfpg,asylpg"],
+    ["grid-search", "--grid", "1e6,0.1"],
+])
+def test_stdout_is_strict_json(tmp_path, capsys, argv):
+    # at 1e6 the grid search diverges; its loss prints as null, not Infinity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "problem": {"kind": "synth_logistic", "n": 200, "d": 20},
+        "algo": {"algo": "asylpg", "epochs": 2, "m": 50, "tau": 2},
+        "workers": {"count": 2},
+        "run": {"loss_target": None},
+    }))
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if argv[0] == "grid-search":
+        assert out["best_lr"] == 0.1
+        assert out["final_losses"]["1000000.0"] is None
+        assert math.isfinite(out["final_losses"]["0.1"])
 
 
 def test_algo_override(config_path, capsys):
@@ -79,7 +121,9 @@ def test_mu_trace_subcommand(config_path, tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["all_finite"] is True
+    assert summary["csv"] == str(out / "mu_trace.csv")
     assert (out / "mu_trace.csv").exists()
+    assert "rows" not in summary
 
 
 def test_compare_subcommand(config_path, capsys):
@@ -89,6 +133,17 @@ def test_compare_subcommand(config_path, capsys):
     out = json.loads(capsys.readouterr().out)
     algos = [row["algo"] for row in out["table"]]
     assert algos == ["asyfpg", "asylpg"]
+
+
+def test_compare_refuses_a_repeated_algorithm(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(config_path), "--out", str(out),
+               "--algos", "asylpg,asylpg,asyfpg"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "dqsim: error: an algorithm is named more than once in "
+        "['asylpg', 'asylpg', 'asyfpg']\n")
+    assert not out.exists()
 
 
 def test_rejected_option_is_one_error_line(config_path, capsys):

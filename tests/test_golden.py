@@ -15,8 +15,10 @@ After an intentional change, print the new tables with
 in the change log.
 """
 
+import ast
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,28 +124,28 @@ GOLDEN = {
 # case: sha256 of json.dumps(parse_config(raw).to_dict()), with the
 # temporary directory that holds the libsvm file and the outputs as "<tmp>"
 CONFIG_DIGESTS = {
-    'acc_asyfpg': '507a4b4a34cabd4cf2b2f279da12b13b1049dc04fc1fd6429ff953036902de3c',
-    'acc_asylpg': 'bf060b6c59b4c3c04b0b0eef8dfcd074adce6bdc36a86d570f7c6a2a64f36658',
-    'asyfpg': '130fbd9cb8851e0f251dbb092a519a477a22a8f931cfc095cf5d1edfbb7f67f4',
-    'asylpg': 'e90474006720e9b5fddc2e3f0140df0f53a28dba3ce9189b4e1e5e54c89016fe',
-    'asylpg_theory': '402d7eeb847c8b756a8164cc5a00515647fbf82e09214d32b57140e09cafee6e',
-    'libsvm_csr': '10099aed9cae7356ad10c6692131736e96715952859a84be4c023e3c2d46ea62',
-    'mlp': '16e48a3ebabe4a02a2fa6d31e49a3bf89c96a1bf2c57096e2038305a0584ecd2',
-    'qsvrg': '8bec447a1975075c1dd9cf911d2da756959a327645feaeed46f92f685269f052',
-    'sparse_asylpg': '5334fc4fdd55b9d180fbf8839f52255225b67620ba66c52931ff351dad9e77df',
+    'acc_asyfpg': '9b6b577c373303726e893ca1a91a78d28086c8536546ef7dba59c6ec17dd2cae',
+    'acc_asylpg': '3f2e393de44508b914648ab4b4c305df2be4d38da1612db9d74f152c06bcf63c',
+    'asyfpg': '20453b4cae0371725f86ea21c04ff9d9fc72cbc439a14148b4fb98e59de00415',
+    'asylpg': 'd644d23e7943f8454c65e8fffbfcbff37ae28b0bc8eb29b18690262912010fc3',
+    'asylpg_theory': '189e25117475696cd41cc3470524f3a5c034e065e16a1823e3b1a751d175bf39',
+    'libsvm_csr': '82def2dc199ec479b6bca13decbecd79abd4a526c086282e65fe2932be65e475',
+    'mlp': 'e088c8445584ed504a87849c4bb4be71a540cbe24d2bfda52af36c60258c1f3e',
+    'qsvrg': '32ff4fbfdfb10717d899181352b6c2d083e4e3b2d7f8936df457f6454d5988dc',
+    'sparse_asylpg': '420d52275b7e35ee39e71c89062cf479cc918092c28df7b246795945fb309fa7',
 }
 
 # case: sha256 of report.json, with the temporary directory as "<tmp>"
 REPORT_DIGESTS = {
-    'acc_asyfpg': '8d85a0a583223724a2e9595876e909fd5f55da72ee69357628000e3469053942',
-    'acc_asylpg': 'a9ade682a45d5d3b62ebb9eccb579d589ae9904e5b27c4a6e3433c8f6de6e235',
-    'asyfpg': '55cc4f39c27cd0a535a646b9910b2c11f1850462db5e7a68fe8a0d0cba1a0fed',
-    'asylpg': '029dfcfb9eb99b00d3cc8827451f526dc3cb15bb95efb6e306ba4ea2a26b536a',
-    'asylpg_theory': 'a7aac2ee2b1e5a040f3d6ef9f64597888a185abe1474fa2f7e60d930ae3a735d',
-    'libsvm_csr': 'e1baa24b4c3e86c6835d6974e8a6e6ea94faeb48b5a8afb2d26852a71871c5f2',
-    'mlp': '2e38819937a776d812a4f1b804b1378afc4bdf7ea155f687403bacbb5a33b727',
-    'qsvrg': '186f3765e02d249c6c8f86f9e3c17a409ef257639f43220140e1d65f8be8c47e',
-    'sparse_asylpg': '2a47d8d1feb5be005af9d09112144b447dcaf54fb95b912c5e83e66f59fc7223',
+    'acc_asyfpg': '5772795b2cb81c1f616e67aaeac082015905fef36b5b98376235619f9d1d9609',
+    'acc_asylpg': 'c307425e66e07717391fcc5bd5e4b772d26b80f0548526edc48317f30efd4111',
+    'asyfpg': 'e929627576f4b91785a20ae7cd4d159df80611010b8b9a10ba0d6c089f265283',
+    'asylpg': '8666dd1976ae3a5d48ad67493f146a5569465bfad09dce94970b0d08dda6f16e',
+    'asylpg_theory': '994ca10da1d0ce80e94acf0da56585c6c516c96899f8db1695fe81991c7e5118',
+    'libsvm_csr': 'a37359c70603e20d4fe8e80d96bc3c8fa4531ffeb462f95acd7735055bc90cce',
+    'mlp': '0b8eda150232f18a251cc13ae93cc7f10f4546c110dd55fb1346c6b9dac20f4a',
+    'qsvrg': '5b3107663bae5f66ae3164b2248045f597f32431f0b2d0f5f9862cf307168f0d',
+    'sparse_asylpg': '3cb6464dedb35c030fd153379b6c68b55da1d3caade13b76dd8cad14afccfa49',
 }
 
 # model-quantizing case: sha256 of mu_trace.csv at the default probe widths
@@ -211,9 +213,8 @@ def report_digest(name: str, tmp_path: Path) -> str:
 
 
 def mu_trace_digest(name: str, tmp_path: Path) -> str:
-    path = tmp_path / f"{name}_mu_trace.csv"
-    figure_mu_trace(parse_config(_raw_config(name, tmp_path)), out_path=path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    summary = figure_mu_trace(parse_config(_raw_config(name, tmp_path)))
+    return hashlib.sha256(Path(summary["csv"]).read_bytes()).hexdigest()
 
 
 def _fingerprint_of(raw: dict) -> tuple:
@@ -243,6 +244,17 @@ def test_report_fingerprint(name, tmp_path):
 @pytest.mark.parametrize("name", MU_TRACE_CASES)
 def test_mu_trace_fingerprint(name, tmp_path):
     assert mu_trace_digest(name, tmp_path) == MU_TRACE_DIGESTS[name]
+
+
+def test_printer_prints_the_tables():
+    # the script's output, pasted over the tables, gives the tables
+    out = subprocess.run([sys.executable, __file__], capture_output=True,
+                         text=True, check=True).stdout
+    printed = {node.targets[0].id: ast.literal_eval(node.value)
+               for node in ast.parse(out).body}
+    assert printed == {"GOLDEN": GOLDEN, "CONFIG_DIGESTS": CONFIG_DIGESTS,
+                       "REPORT_DIGESTS": REPORT_DIGESTS,
+                       "MU_TRACE_DIGESTS": MU_TRACE_DIGESTS}
 
 
 def _threads_and_simulated(algo: str, tmp_path: Path,

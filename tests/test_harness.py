@@ -92,6 +92,9 @@ class TestConfig:
             parse_config({"extra_section": {}})
         with pytest.raises(ValueError, match="unknown"):
             parse_config({"run": {"repetitions": 3}})
+        # the seed has one key, algo.seed
+        with pytest.raises(ValueError, match="unknown key in config section 'run'"):
+            parse_config({"run": {"seed": 9}})
         # a config or a section that is not an object is refused as such;
         # a null section takes every default
         for raw in ([], {"problem": [1]}, {"problem": []}, {"problem": 0},
@@ -128,8 +131,7 @@ class TestConfig:
             "flip_prob": 0.0, "lambda1": 1e-5, "lambda2": 1e-4, "path": None,
             "hidden": 100, "classes": 10, "box_radius": None})
         assert json.dumps(materialized["run"]) == json.dumps({
-            "out_dir": None, "seed": None, "loss_target": "auto",
-            "oracle_iters": 2000})
+            "out_dir": None, "loss_target": "auto", "oracle_iters": 2000})
 
     @pytest.mark.parametrize("section, key, value", [
         ("problem", "n", 60.5), ("problem", "n", True),
@@ -159,7 +161,7 @@ class TestConfig:
         ("problem", {"d": 0}, "d"), ("problem", {"seed": -1}, "seed"),
         ("problem", {"kind": "synth_mlp", "hidden": 0}, "hidden"),
         ("problem", {"kind": "synth_mlp", "classes": 1}, "classes"),
-        ("algo", {"seed": -1}, "seed"), ("run", {"seed": -1}, "seed"),
+        ("algo", {"seed": -1}, "seed"),
     ])
     def test_out_of_range_sizes_and_seeds_rejected_at_parse(
             self, section, values, key, monkeypatch):
@@ -206,10 +208,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="algo.eta_mode 'theory'"):
             parse_config({"problem": {"kind": "synth_mlp"},
                           "algo": {"eta_mode": "theory"}})
-
-    def test_run_seed_overrides_algo_seed(self):
-        cfg = base_config(seed=99)
-        assert cfg.algo_config().seed == 99
 
     def test_worker_construction(self):
         specs = build_workers({"count": 2, "latency": {"kind": "fixed", "ticks": 3}})
@@ -471,16 +469,24 @@ def test_overrides_parse_no_config(monkeypatch):
 
 class TestMuTrace:
     def test_trace_and_summary(self, tmp_path):
-        out = tmp_path / "mu.csv"
-        summary = figure_mu_trace(base_config(), probe_widths=(4, 8),
-                                  out_path=out)
+        out = tmp_path / "mu"
+        summary = figure_mu_trace(base_config(out_dir=str(out)),
+                                  probe_widths=(4, 8))
         assert summary["all_finite"]
         assert summary["n_broadcasts"] > 0
         # coarser grids need at least the budget of finer grids on the same
         # pinned trajectory
         assert summary["mu_ceiling_b4"] >= summary["mu_ceiling_b8"]
-        header = out.read_text().splitlines()[0]
+        assert summary["csv"] == str(out / "mu_trace.csv")
+        header = (out / "mu_trace.csv").read_text().splitlines()[0]
         assert "mu_required_b4" in header and "mu_required_b8" in header
+        assert os.listdir(out) == ["mu_trace.csv"]
+
+    def test_no_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        summary = figure_mu_trace(base_config(), probe_widths=(8,))
+        assert summary["csv"] is None
+        assert os.listdir(tmp_path) == []
 
     def test_rows_exclude_flag_broadcasts(self):
         summary = figure_mu_trace(base_config(), probe_widths=(8,))
@@ -488,19 +494,15 @@ class TestMuTrace:
 
 
 class TestCompareSuite:
-    def make_configs(self, algos, out_dir=None):
-        configs = []
-        for name in algos:
-            raw = json.loads(json.dumps(BASE))
-            raw["algo"]["algo"] = name
-            raw["algo"]["epochs"] = 4
-            raw["run"]["loss_target"] = None
-            configs.append(parse_config(raw))
-        return configs
+    def make_config(self, **run):
+        raw = json.loads(json.dumps(BASE))
+        raw["algo"]["epochs"] = 4
+        raw["run"].update(run)
+        return parse_config(raw)
 
     def test_ratio_convention_and_ordering(self):
-        configs = self.make_configs(["asyfpg", "asylpg"])
-        outcome = compare_suite(configs, loss_target=0.62)
+        config = self.make_config(loss_target=0.62)
+        outcome = compare_suite(config, ["asyfpg", "asylpg"])
         table = {row["algo"]: row for row in outcome["table"]}
         assert table["asyfpg"]["ratio_vs_asyfpg"] == pytest.approx(1.0)
         ratio = table["asylpg"]["ratio_vs_asyfpg"]
@@ -541,16 +543,9 @@ class TestCompareSuite:
         assert expected_f / expected_l == pytest.approx(64 * d / (64 + 16 * d),
                                                         rel=0.06)
 
-    def test_mismatched_problems_rejected(self):
-        configs = self.make_configs(["asyfpg", "asylpg"])
-        configs[1] = dataclasses.replace(
-            configs[1], problem=dataclasses.replace(configs[1].problem, n=999))
-        with pytest.raises(ValueError, match="share"):
-            compare_suite(configs)
-
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
-            compare_suite(self.make_configs(["asylpg"]))
+            compare_suite(self.make_config(), ["asylpg"])
 
     @pytest.mark.parametrize("value", ["two", "0", "-1", "1.5", ""])
     def test_bad_thread_count_rejected_before_setup(self, value, monkeypatch):
@@ -560,14 +555,44 @@ class TestCompareSuite:
         monkeypatch.setattr(harness, "build_problem", refuse)
         monkeypatch.setenv("DQSIM_THREADS", value)
         with pytest.raises(ValueError, match="DQSIM_THREADS"):
-            compare_suite(self.make_configs(["asyfpg", "asylpg"]))
+            compare_suite(self.make_config(), ["asyfpg", "asylpg"])
+
+    @pytest.mark.parametrize("algos, algo, match", [
+        (["asylpg", "asylpg", "asyfpg"], {}, "named more than once"),
+        (["asyfpg", "sparse_asylpg"], {"eta_mode": "theory"}, "needs phi"),
+        (["asyfpg", "asylpgg"], {}, "'asylpgg' is not a valid Algorithm"),
+    ])
+    def test_bad_algorithms_rejected_before_setup(self, algos, algo, match,
+                                                  monkeypatch, tmp_path):
+        # a repeated name ran twice into one directory; each variant's algo
+        # section is checked as parse_config checks it, before any problem
+        def refuse(*args):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(harness, "build_problem", refuse)
+        raw = json.loads(json.dumps(BASE))
+        raw["algo"].update(algo)
+        raw["run"]["out_dir"] = str(tmp_path / "out")
+        with pytest.raises(ValueError, match=match):
+            compare_suite(parse_config(raw), algos)
+        assert not (tmp_path / "out").exists()
+
+    def test_each_run_writes_its_own_directory(self, tmp_path):
+        out = tmp_path / "out"
+        outcome = compare_suite(self.make_config(out_dir=str(out)),
+                                ["asyfpg", "asylpg"])
+        for name, report in zip(["asyfpg", "asylpg"], outcome["reports"]):
+            assert report.out_dir == str(out / name)
+            assert report.config["algo"]["algo"] == name
+            assert (out / name / "report.json").exists()
+        assert sorted(os.listdir(out)) == ["asyfpg", "asylpg"]
 
     def test_parallel_execution_matches_serial(self):
-        configs = self.make_configs(["asyfpg", "asylpg"])
-        serial = compare_suite(configs, loss_target=0.62)
+        config = self.make_config(loss_target=0.62)
+        serial = compare_suite(config, ["asyfpg", "asylpg"])
         os.environ["DQSIM_THREADS"] = "2"
         try:
-            parallel = compare_suite(configs, loss_target=0.62)
+            parallel = compare_suite(config, ["asyfpg", "asylpg"])
         finally:
             del os.environ["DQSIM_THREADS"]
         assert [r["bits_to_target"] for r in serial["table"]] == \
@@ -587,8 +612,7 @@ class TestCompareSuite:
         monkeypatch.setattr(LogisticProblem, "__getstate__", counted_getstate,
                             raising=False)
         monkeypatch.setenv("DQSIM_THREADS", "2")
-        configs = self.make_configs(["asyfpg", "asylpg", "qsvrg",
-                                     "sparse_asylpg"])
-        parallel = compare_suite(configs, loss_target=0.62)
+        parallel = compare_suite(self.make_config(loss_target=0.62),
+                                 ["asyfpg", "asylpg", "qsvrg", "sparse_asylpg"])
         assert len(parallel["reports"]) == 4
         assert len(pickles) <= 2

@@ -404,6 +404,19 @@ def test_malformed_csr_is_rejected_on_both_storages(storage, indptr, indices,
         stored_as(storage, Dataset(indptr, indices, values, np.ones(2), 2))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_rejected_on_both_storages(value):
+    # a dense NaN made a problem whose smoothness and objective were NaN
+    X = np.ones((3, 2))
+    X[1, 0] = value
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        Dataset.from_dense(X, np.ones(3))
+    with pytest.raises(ValueError, match="feature values must be finite"):
+        Dataset([0, 1, 2, 2], [0, 1], [1.0, value], np.ones(3), 2)
+    # a CSR dataset with no stored value has nothing to check
+    assert Dataset([0, 0, 0], [], [], np.ones(2), 2).n == 2
+
+
 @pytest.mark.parametrize("n", [1, 1023, 1025, 2500])
 def test_margin_pass_on_rows_keeps_the_column_bits(storage, n):
     # the pass on the transposed product gives the losses and gradients of
