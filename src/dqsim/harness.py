@@ -74,7 +74,6 @@ class ProblemConfig:
     path: Optional[str] = None  # the libsvm file
     hidden: int = 100
     classes: int = 10
-    box_radius: Optional[float] = None
 
     def __post_init__(self):
         check_field_types(self)
@@ -92,9 +91,6 @@ class ProblemConfig:
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("problem.flip_prob must be in [0, 1], "
                              f"got {self.flip_prob!r}")
-        if self.box_radius is not None and not 0 < self.box_radius < math.inf:
-            raise ValueError("problem.box_radius must be finite and > 0 when "
-                             f"set, got {self.box_radius!r}")
         if self.kind == "libsvm_logistic" and not (
                 self.path and Path(self.path).exists()):
             raise ValueError(f"dataset path does not exist: {self.path!r}")
@@ -218,8 +214,7 @@ def build_problem(pcfg: ProblemConfig) -> CompositeProblem:
         data = synth_dataset(pcfg.n, pcfg.d, pcfg.seed, flip_prob=pcfg.flip_prob)
     else:
         data = load_libsvm(pcfg.path)
-    return logistic_problem(data, pcfg.lambda1, pcfg.lambda2,
-                            box_radius=pcfg.box_radius)
+    return logistic_problem(data, pcfg.lambda1, pcfg.lambda2)
 
 
 _LATENCY_KINDS = {"fixed": FixedLatency, "uniform": UniformLatency,

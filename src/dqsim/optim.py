@@ -454,16 +454,15 @@ def run_training(
     problem: CompositeProblem,
     cfg: AlgoConfig,
     workers: Optional[Sequence[Latency]] = None,
-    x0: Optional[np.ndarray] = None,
 ) -> RunResult:
     """Train for ``cfg.epochs`` epochs of ``cfg.m`` asynchronous inner updates,
-    from ``x0`` or else the problem's ``initial_point()``.
+    from the problem's ``initial_point()``.
 
     ``workers`` holds one latency model per worker, by default a single
     worker at a fixed 1 tick; worker ``i`` is ``workers[i]`` and owns the
     ``i``-th per-worker streams of :func:`make_streams`.
 
-    Deterministic: identical (problem, cfg, workers, x0) produce identical
+    Deterministic: identical (problem, cfg, workers) produce identical
     metrics, ledger, broadcasts, and output, bit for bit.
     """
     if workers is None:
@@ -473,10 +472,7 @@ def run_training(
     accelerated = cfg.algo in _ACCELERATED
     etas = _epoch_etas(cfg, problem.smoothness, problem.d)
 
-    if x0 is None:
-        x = problem.initial_point()
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
+    x = problem.initial_point()
     snapshot = x.copy()
     y = snapshot  # momentum auxiliary iterate
 

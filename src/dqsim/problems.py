@@ -127,8 +127,11 @@ class Dataset:
     @classmethod
     def from_dense(cls, X, labels) -> "Dataset":
         """Dense storage keeps a C-contiguous float64 ``X`` itself, no copy."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"features must be an n x d array, got shape {X.shape}")
         data = cls.__new__(cls)
-        data._store(np.ascontiguousarray(X, dtype=np.float64), labels)
+        data._store(np.ascontiguousarray(X), labels)
         return data
 
     @property
@@ -342,13 +345,11 @@ class LogisticProblem(CompositeProblem):
 
     Per-sample smooth part: log(1 + exp(-y_i <a_i, x>)) + (lambda2/2)||x||^2.
     The smoothness estimate is max_i ||a_i||^2 / 4 + lambda2 (sigmoid curvature
-    bound). An optional box radius adds an inf-norm constraint to h; its prox
-    composes the soft threshold with a clip, which is exact because both parts
-    are separable and the projection is monotone.
+    bound). The prox of h is the coordinatewise soft threshold at
+    eta * lambda1, so ``objective`` charges exactly what ``prox`` enforces.
     """
 
-    def __init__(self, data: Dataset, lambda1: float, lambda2: float,
-                 box_radius: float | None = None):
+    def __init__(self, data: Dataset, lambda1: float, lambda2: float):
         labels = np.unique(data.labels)
         if not (set(labels) <= {-1.0, 1.0} or set(labels) <= {0.0, 1.0}):
             raise ValueError(f"labels must be binary (+-1 or 0/1), got {labels}")
@@ -356,7 +357,6 @@ class LogisticProblem(CompositeProblem):
         self.y = np.where(data.labels > 0, 1.0, -1.0)
         self.lambda1 = float(lambda1)
         self.lambda2 = float(lambda2)
-        self.box_radius = box_radius
         self.n = data.n
         self.d = data.d
         self.smoothness = float(np.max(data.row_norms_sq())) / 4.0 + self.lambda2
@@ -440,10 +440,7 @@ class LogisticProblem(CompositeProblem):
         return losses, (S + self.n * self.lambda2 * X[:, grad_cols]) / self.n
 
     def prox(self, eta: float, v: np.ndarray) -> np.ndarray:
-        out = soft_threshold(v, eta * self.lambda1)
-        if self.box_radius is not None:
-            out = np.clip(out, -self.box_radius, self.box_radius)
-        return out
+        return soft_threshold(v, eta * self.lambda1)
 
 
 class MLPProblem(CompositeProblem):
@@ -549,9 +546,11 @@ class MLPProblem(CompositeProblem):
         return v
 
 
-def logistic_problem(data: Dataset, lambda1: float, lambda2: float,
-                     box_radius: float | None = None) -> LogisticProblem:
-    return LogisticProblem(data, lambda1, lambda2, box_radius=box_radius)
+def logistic_problem(data: Dataset, lambda1: float,
+                     lambda2: float) -> LogisticProblem:
+    """L1/L2-regularized logistic regression on ``data``: h = lambda1 *
+    ||x||_1, and lambda2 inside f."""
+    return LogisticProblem(data, lambda1, lambda2)
 
 
 def mlp_problem(data: Dataset, hidden: int = 100, lambda2: float = 1e-4,

@@ -79,11 +79,11 @@ class SparseRealVector:
 
 def budget_max(alpha) -> float:
     """Largest budget for which the optimal plan is valid: ``||a||_1 / ||a||_inf``."""
-    alpha = _as_vector(alpha, "alpha")
-    inf = float(np.max(np.abs(alpha)))
+    absa = np.abs(_as_vector(alpha, "alpha"))
+    inf = float(absa.max())
     if inf == 0.0:
         raise ValueError("budget_max undefined for the zero vector")
-    return float(np.sum(np.abs(alpha))) / inf
+    return float(absa.sum()) / inf
 
 
 def clamp_budget(alpha, phi: float) -> float:

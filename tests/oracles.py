@@ -205,7 +205,7 @@ def metric_block_stacked(problem, xs, eta: float, gmap_cols: list[int]):
 
 
 def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
-                       box: float | None = None, tol: float = 1e-10) -> float:
+                       tol: float = 1e-10) -> float:
     """Ternary search for argmin_y lambda1*|y| + (y - value)^2 / (2 eta).
 
     The objective is strictly convex, so the search converges; the bracket
@@ -213,8 +213,6 @@ def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
     """
     lo = min(0.0, value) - 1.0
     hi = max(0.0, value) + 1.0
-    if box is not None:
-        lo, hi = max(lo, -box), min(hi, box)
 
     def obj(y):
         return lambda1 * abs(y) + (y - value) ** 2 / (2.0 * eta)
@@ -231,9 +229,8 @@ def prox_bruteforce_1d(value: float, eta: float, lambda1: float,
     return 0.5 * (lo + hi)
 
 
-def prox_bruteforce(v: np.ndarray, eta: float, lambda1: float,
-                    box: float | None = None) -> np.ndarray:
-    return np.array([prox_bruteforce_1d(float(c), eta, lambda1, box) for c in v])
+def prox_bruteforce(v: np.ndarray, eta: float, lambda1: float) -> np.ndarray:
+    return np.array([prox_bruteforce_1d(float(c), eta, lambda1) for c in v])
 
 
 def serial_prox_svrg(problem, epochs: int, m: int, eta: float,

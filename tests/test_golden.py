@@ -124,28 +124,28 @@ GOLDEN = {
 # case: sha256 of json.dumps(parse_config(raw).to_dict()), with the
 # temporary directory that holds the libsvm file and the outputs as "<tmp>"
 CONFIG_DIGESTS = {
-    'acc_asyfpg': '9b6b577c373303726e893ca1a91a78d28086c8536546ef7dba59c6ec17dd2cae',
-    'acc_asylpg': '3f2e393de44508b914648ab4b4c305df2be4d38da1612db9d74f152c06bcf63c',
-    'asyfpg': '20453b4cae0371725f86ea21c04ff9d9fc72cbc439a14148b4fb98e59de00415',
-    'asylpg': 'd644d23e7943f8454c65e8fffbfcbff37ae28b0bc8eb29b18690262912010fc3',
-    'asylpg_theory': '189e25117475696cd41cc3470524f3a5c034e065e16a1823e3b1a751d175bf39',
-    'libsvm_csr': '82def2dc199ec479b6bca13decbecd79abd4a526c086282e65fe2932be65e475',
-    'mlp': 'e088c8445584ed504a87849c4bb4be71a540cbe24d2bfda52af36c60258c1f3e',
-    'qsvrg': '32ff4fbfdfb10717d899181352b6c2d083e4e3b2d7f8936df457f6454d5988dc',
-    'sparse_asylpg': '420d52275b7e35ee39e71c89062cf479cc918092c28df7b246795945fb309fa7',
+    'acc_asyfpg': '9f7d9d66318a51598d654fb1ca7925429ec32d4b207d26b92091ddbc4400e059',
+    'acc_asylpg': '16c858161b16fa1f2a5c279e223db07ebedeec568f9ea782dbac6348b6d28f5a',
+    'asyfpg': '657d8c8adbb0174e62dd4d6d7d7bc512a69740d69f492160ec37b636ecaab62f',
+    'asylpg': 'a2d28c2c33e157e425cbd7a6f34b6856529f8de80db727d8509c43c7793a93af',
+    'asylpg_theory': '480f0a9fe1168c1845a7724497d9033c8336f04bf2e8c8ca41200736031b74c1',
+    'libsvm_csr': '31aa94e95417c403776b123d577029b5d9a0019a07fcbe4851a074ac1dc2beff',
+    'mlp': '73f18d64ab0c932ad42db9d66bdba775f2f9ec1e5e02d4dd80357501f9185dc5',
+    'qsvrg': '78e8a6a210208993de311bb377e86d583395256a4e70400e4ed4cd7847fcae5f',
+    'sparse_asylpg': 'd141d977d45a9e98642590a8d17fe7e19ec4b9f872034ed79bf884afdc7f00f0',
 }
 
 # case: sha256 of report.json, with the temporary directory as "<tmp>"
 REPORT_DIGESTS = {
-    'acc_asyfpg': '5772795b2cb81c1f616e67aaeac082015905fef36b5b98376235619f9d1d9609',
-    'acc_asylpg': 'c307425e66e07717391fcc5bd5e4b772d26b80f0548526edc48317f30efd4111',
-    'asyfpg': 'e929627576f4b91785a20ae7cd4d159df80611010b8b9a10ba0d6c089f265283',
-    'asylpg': '8666dd1976ae3a5d48ad67493f146a5569465bfad09dce94970b0d08dda6f16e',
-    'asylpg_theory': '994ca10da1d0ce80e94acf0da56585c6c516c96899f8db1695fe81991c7e5118',
-    'libsvm_csr': 'a37359c70603e20d4fe8e80d96bc3c8fa4531ffeb462f95acd7735055bc90cce',
-    'mlp': '0b8eda150232f18a251cc13ae93cc7f10f4546c110dd55fb1346c6b9dac20f4a',
-    'qsvrg': '5b3107663bae5f66ae3164b2248045f597f32431f0b2d0f5f9862cf307168f0d',
-    'sparse_asylpg': '3cb6464dedb35c030fd153379b6c68b55da1d3caade13b76dd8cad14afccfa49',
+    'acc_asyfpg': '1ba5c5a710e1bb1f6ba5661837f86b0e4718c9362f51f8adb245d5e0d1a94d94',
+    'acc_asylpg': 'e61966fc3fa3eb13688b4d04307fd8405d0cb05f477acad9da16b67fecec1bf8',
+    'asyfpg': '16206274e3bf63f31bdf7bae6e515f6110a844742789437d47fe8bc8d8081580',
+    'asylpg': 'e10f59dcbde29c256480a43acf6165a42a7b580f26a531fe852420baf40a2b1f',
+    'asylpg_theory': 'a34892241d40f1bf3855bca16196aa9dc0db798a4c7d5f6bfae18efb13ac2a19',
+    'libsvm_csr': '70a906566c51df154d4095e5391f02528b3c7c3e431563cc59a69c1eb2efca9f',
+    'mlp': 'acaf91780ef526b404a250855d0fac15e88272c88ed022c84802246b94495d42',
+    'qsvrg': 'b8a50fbc0824eb58a9421827eb04f2cb7df4b33f5a64410738d3e5fbd77f314b',
+    'sparse_asylpg': '1fddf88f2b28719ecea711fc7587f664d9be048e510b9e13b6f4dbde924398ca',
 }
 
 # model-quantizing case: sha256 of mu_trace.csv at the default probe widths

@@ -95,6 +95,10 @@ class TestConfig:
         # the seed has one key, algo.seed
         with pytest.raises(ValueError, match="unknown key in config section 'run'"):
             parse_config({"run": {"seed": 9}})
+        # h is lambda1 ||x||_1 alone: the logistic problem has no box
+        with pytest.raises(ValueError,
+                           match="unknown key in config section 'problem'"):
+            parse_config({"problem": {"box_radius": 1.0}})
         # a config or a section that is not an object is refused as such;
         # a null section takes every default
         for raw in ([], {"problem": [1]}, {"problem": []}, {"problem": 0},
@@ -129,19 +133,17 @@ class TestConfig:
         assert json.dumps(materialized["problem"]) == json.dumps({
             "kind": "synth_logistic", "n": 1000, "d": 50, "seed": 0,
             "flip_prob": 0.0, "lambda1": 1e-5, "lambda2": 1e-4, "path": None,
-            "hidden": 100, "classes": 10, "box_radius": None})
+            "hidden": 100, "classes": 10})
         assert json.dumps(materialized["run"]) == json.dumps({
             "out_dir": None, "loss_target": "auto", "oracle_iters": 2000})
 
     @pytest.mark.parametrize("section, key, value", [
         ("problem", "n", 60.5), ("problem", "n", True),
         ("problem", "lambda1", "0.1"), ("problem", "hidden", "a"),
-        ("problem", "box_radius", "1"), ("problem", "path", 5),
+        ("problem", "path", 5),
         ("problem", "lambda1", -1e-5), ("problem", "lambda2", -1.0),
         ("problem", "flip_prob", 2.0), ("problem", "flip_prob", -0.1),
-        ("problem", "box_radius", 0.0), ("problem", "box_radius", -1.0),
         ("problem", "lambda1", math.inf), ("problem", "lambda2", math.inf),
-        ("problem", "box_radius", math.inf),
         ("run", "out_dir", 5), ("run", "loss_target", math.nan),
         ("run", "loss_target", math.inf), ("run", "loss_target", -math.inf),
     ])

@@ -123,15 +123,15 @@ class TestLogistic:
 
     def test_prox_matches_bruteforce_minimizer(self):
         rng = rng_of(7)
-        for lam1, box in [(0.3, None), (0.0, None), (0.7, 0.5)]:
+        for lam1 in (0.3, 0.0):
             data = stored_as(self.storage, synth_dataset(10, 3, 8))
-            prob = logistic_problem(data, lam1, 1e-4, box_radius=box)
+            prob = logistic_problem(data, lam1, 1e-4)
             for _ in range(20):
                 v = rng.normal(size=3) * 2.0
                 eta = float(rng.uniform(0.05, 2.0))
                 np.testing.assert_allclose(
                     prob.prox(eta, v),
-                    prox_bruteforce(v, eta, lam1, box),
+                    prox_bruteforce(v, eta, lam1),
                     atol=1e-6,
                 )
 
@@ -415,6 +415,14 @@ def test_non_finite_feature_rejected_on_both_storages(value):
         Dataset([0, 1, 2, 2], [0, 1], [1.0, value], np.ones(3), 2)
     # a CSR dataset with no stored value has nothing to check
     assert Dataset([0, 0, 0], [], [], np.ones(2), 2).n == 2
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+def test_dense_features_must_be_two_dimensional(shape):
+    # a 1-D array failed to unpack its shape, a 3-D one had too many values
+    with pytest.raises(ValueError,
+                       match=re.escape(f"n x d array, got shape {shape}")):
+        Dataset.from_dense(np.ones(shape), np.ones(3))
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1025, 2500])
