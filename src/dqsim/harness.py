@@ -18,7 +18,6 @@ import copy
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -485,6 +484,10 @@ def compare_suite(config: ExperimentConfig, algos: Sequence[str]) -> dict:
 
     run = partial(run_experiment, problem=problem, loss_target=loss_target)
     if threads > 1:
+        # imported here, not at module top: the executor modules add about
+        # 1.3 MB to a process, which a compare in one process never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # the problem goes to each worker process once, with the initializer,
         # and a task sends only its config
         with ProcessPoolExecutor(max_workers=min(threads, len(configs)),

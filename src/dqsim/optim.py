@@ -218,10 +218,14 @@ class _MetricColumns:
         rows, self._rows = self._rows, []
         if not rows:
             return
-        # the block X = iterates.T is column-major, so a dense GEMM column
-        # rounds the same at any block width; a single iterate goes in
-        # twice, as a one-column product takes the matrix-vector path,
-        # which rounds differently
+        # the block X = iterates.T is column-major. A dense GEMM column
+        # rounds the same at any block width at 300x20 and 5000x300 (the
+        # shapes test_metrics_do_not_depend_on_block_size pins); at other
+        # shapes, such as 2000x100, a 2-5 column transposed product rounds
+        # differently, so a tail block's metrics depend on where the block
+        # is cut, though they stay deterministic for a given config. A
+        # single iterate goes in twice, as a one-column product takes the
+        # matrix-vector path, which rounds differently
         if len(rows) == 1:
             self._iterates[1] = self._iterates[0]
         iterates = self._iterates[:max(len(rows), 2)]

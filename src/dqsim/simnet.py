@@ -30,9 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import numbers
-import queue
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -271,34 +269,47 @@ def run_inner_loop_threads(
 ) -> list[StalenessRecord]:
     """Real-thread variant of :func:`run_inner_loop`.
 
-    Worker ``i`` runs on its own single-thread pool; its compute time
-    replaces its latency model ``workers[i]``, so arrival order depends on
-    the scheduler and determinism is forfeited. The staleness bound is
-    enforced with the same admission and deadline rules. Workers share
-    nothing: they receive model messages and return results by value, and
-    only the master thread touches master state (all model_step/apply_step
-    calls happen here; worker_step runs on the worker's thread against its
-    own streams). An exception raised by ``worker_step`` stops the run and is
-    re-raised here. Every worker thread is joined before this returns or
-    raises.
+    Worker steps run on ``min(len(workers), tau + 1)`` single-thread pools,
+    one per task the gate lets be in flight: a dispatch takes a free pool and
+    the arrival of its result frees it, so tasks in flight together run on
+    distinct threads and no more threads than that ever exist. A worker's
+    compute time replaces its latency model ``workers[i]``, so arrival order
+    depends on the scheduler and determinism is forfeited. The staleness
+    bound is enforced with the same admission and deadline rules. Workers
+    share nothing: they receive model messages and return results by value,
+    and only the master thread touches master state (all model_step/
+    apply_step calls happen here; worker_step runs on a pool thread against
+    the worker's own streams, which no two threads use at once because the
+    gate re-admits a worker only after its result arrives). An exception
+    raised by ``worker_step`` stops the run and is re-raised here. Every pool
+    thread is joined before this returns or raises.
     """
+    # imported here, not at module top: the executor modules add about
+    # 1.3 MB to a process, which a simulated run never needs
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
     _validate_loop_args(workers, tau, m)
-    pools = [ThreadPoolExecutor(max_workers=1) for _ in workers]
-    finished: queue.SimpleQueue = queue.SimpleQueue()  # (task, future)
+    pools = [ThreadPoolExecutor(max_workers=1)
+             for _ in range(min(len(workers), tau + 1))]
+    free = list(range(len(pools)))  # indices of pools with no task in flight
+    finished: queue.SimpleQueue = queue.SimpleQueue()  # (task, slot, future)
     gate = _Gate(len(workers), tau)
     arrival_order = itertools.count()
     try:
         while gate.t < m:
             for task in gate.admit():
                 model = model_step(task.worker_id, task.version)
-                future = pools[task.worker_id].submit(
-                    worker_step, task.worker_id, model)
+                slot = free.pop()
+                future = pools[slot].submit(worker_step, task.worker_id, model)
                 future.add_done_callback(
-                    lambda future, task=task: finished.put((task, future)))
+                    lambda future, task=task, slot=slot:
+                    finished.put((task, slot, future)))
             # Land every finished result, then choose; block for the next
             # result only while no pending one is safe.
             while not finished.empty() or (chosen := gate.choose()) is None:
-                task, future = finished.get()
+                task, slot, future = finished.get()
+                free.append(slot)
                 task.payload = future.result()  # re-raises a worker's error
                 task.arrival = next(arrival_order)
                 gate.arrive(task)

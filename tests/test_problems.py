@@ -307,13 +307,17 @@ def test_csr_metric_block_keeps_per_iterate_product_bits(width, monkeypatch):
 
 
 def test_scipy_is_imported_only_for_csr_storage():
-    # a dense-stored run never loads scipy; a CSR-stored Dataset does
+    # a dense-stored run never loads scipy; a CSR-stored Dataset does. A
+    # simulated run loads no executor module either; threads mode loads the
+    # thread executor and still no process machinery
     script = """
 import sys, tempfile
 import numpy as np
 import dqsim
 from dqsim.harness import parse_config, run_experiment
 from dqsim.problems import Dataset
+def loaded(*packages):
+    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
 with tempfile.TemporaryDirectory() as out:
     run_experiment(parse_config({
         "problem": {"kind": "synth_logistic", "n": 60, "d": 5, "seed": 1,
@@ -323,8 +327,16 @@ with tempfile.TemporaryDirectory() as out:
         "workers": {"count": 2},
         "run": {"out_dir": out, "loss_target": None}}))
 assert "scipy" not in sys.modules, "dense run imported scipy"
+assert not loaded("concurrent", "multiprocessing"), loaded("concurrent", "multiprocessing")
 Dataset([0, 1, 2, 3], [0, 1, 2], np.ones(3), np.ones(3), 3)
 assert "scipy" in sys.modules, "CSR storage did not import scipy"
+dqsim.run_training(
+    dqsim.logistic_problem(dqsim.synth_dataset(60, 5, 1), 1e-3, 1e-3),
+    dqsim.AlgoConfig(epochs=1, m=5, eta=0.2, tau=1, batch_size=2,
+                     execution="threads"),
+    [dqsim.FixedLatency(1)] * 2)
+assert "concurrent.futures" in sys.modules, "threads mode ran without an executor"
+assert not loaded("multiprocessing"), loaded("multiprocessing")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -213,6 +213,16 @@ class TestThreadedLoop:
         )
         assert main not in seen and len(seen) == 2
 
+    def test_threads_bounded_by_tasks_in_flight(self):
+        # at tau 1 at most 2 tasks are in flight, whatever the worker count
+        before = threading.active_count()
+        alive = []
+        run_inner_loop_threads(
+            [FixedLatency(1)] * 32, 1, 100, lambda w, v: v, lambda w, v: v,
+            lambda t, p, r: alive.append(threading.active_count() - before),
+        )
+        assert len(alive) == 100 and max(alive) <= 2
+
     def test_worker_error_reaches_master(self):
         class WorkerFailure(Exception):
             pass
