@@ -38,7 +38,8 @@ from .simnet import (
     GeometricLatency,
     Latency,
     UniformLatency,
-    check_field_types,
+    check_fields,
+    is_finite,
 )
 
 __all__ = [
@@ -75,24 +76,16 @@ class ProblemConfig:
     classes: int = 10
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "problem", n=1, d=1, seed=0, lambda1=0, lambda2=0,
+                     hidden=1, classes=2)
         if self.kind not in ("synth_logistic", "libsvm_logistic", "synth_mlp"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        for name, least in (("n", 1), ("d", 1), ("seed", 0), ("hidden", 1),
-                            ("classes", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"problem.{name} must be >= {least}, "
-                                 f"got {getattr(self, name)!r}")
-        for name in ("lambda1", "lambda2"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"problem.{name} must be finite and >= 0, "
-                                 f"got {getattr(self, name)!r}")
         if not 0 <= self.flip_prob <= 1:
             raise ValueError("problem.flip_prob must be in [0, 1], "
                              f"got {self.flip_prob!r}")
         if self.kind == "libsvm_logistic" and not (
-                self.path and Path(self.path).exists()):
-            raise ValueError(f"dataset path does not exist: {self.path!r}")
+                self.path and Path(self.path).is_file()):
+            raise ValueError(f"dataset path is not a file: {self.path!r}")
 
 
 @dataclass(frozen=True)
@@ -104,15 +97,13 @@ class RunConfig:
     oracle_iters: int = 2000
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "run", oracle_iters=0)
         target = self.loss_target
         if target not in (None, "auto") and (
                 isinstance(target, bool) or not isinstance(target, (int, float))
-                or not math.isfinite(target)):
+                or not is_finite(target)):
             raise ValueError("run.loss_target must be a finite number, 'auto', "
                              f"or null; got {target!r}")
-        if self.oracle_iters < 0:
-            raise ValueError(f"run.oracle_iters must be >= 0, got {self.oracle_iters!r}")
 
 
 _FIXED_ONE_TICK = {"kind": "fixed", "ticks": 1}

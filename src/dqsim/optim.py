@@ -52,7 +52,7 @@ from .simnet import (
     FixedLatency,
     Latency,
     StalenessRecord,
-    check_field_types,
+    check_fields,
     epoch_barrier,
     run_inner_loop,
     run_inner_loop_threads,
@@ -116,7 +116,8 @@ class AlgoConfig:
     execution: str = "simulated"  # "simulated" (deterministic) or "threads"
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "algo", epochs=1, m=1, mu=0, tau=0, batch_size=1,
+                     seed=0, metric_every=1)
         algo = Algorithm(self.algo)
         object.__setattr__(self, "algo", algo)
         widths = self.mu_probe_widths or ()
@@ -129,14 +130,6 @@ class AlgoConfig:
                     or not 2 <= width <= FULL_PRECISION_BITS:
                 raise ValueError(f"{name} must be in [2, {FULL_PRECISION_BITS}], "
                                  f"got {width!r}")
-        for name in ("eta", "mu", "sigma", "phi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.epochs < 1 or self.m < 1:
-            raise ValueError("epochs and m must be >= 1")
         if self.eta_mode not in ("constant", "theory"):
             raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
         if self.eta_mode == "constant" and self.eta <= 0:
@@ -144,18 +137,10 @@ class AlgoConfig:
         if self.eta_mode == "theory" and algo is Algorithm.SPARSE_ASYLPG \
                 and self.phi is None:
             raise ValueError("eta_mode 'theory' for sparse_asylpg needs phi")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
         if algo in _ACCELERATED and self.sigma <= 1.0:
             raise ValueError("sigma must exceed 1 for the momentum variant")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.phi is not None and self.phi <= 0:
             raise ValueError("phi must be positive when given")
-        if self.metric_every < 1:
-            raise ValueError("metric_every must be >= 1")
         if self.execution not in ("simulated", "threads"):
             raise ValueError(f"unknown execution mode {self.execution!r}")
 

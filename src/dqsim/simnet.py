@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, fields
@@ -47,7 +48,8 @@ __all__ = [
     "run_inner_loop",
     "run_inner_loop_threads",
     "epoch_barrier",
-    "check_field_types",
+    "check_fields",
+    "is_finite",
 ]
 
 
@@ -58,15 +60,31 @@ _FIELD_TYPES |= {f"Optional[{k}]": (v, type(None)) for k, v in _FIELD_TYPES.item
 _FIELD_TYPES["bool"] = bool
 
 
-def check_field_types(config) -> None:
-    """Raise ValueError, naming the field, when a field of the dataclass
-    ``config`` does not hold a value of its annotated type."""
+def is_finite(value) -> bool:
+    """Whether the real ``value`` is finite; an int past the float range,
+    which no float holds, is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_fields(config, section: str, **least) -> None:
+    """Raise ValueError, naming ``<section>.<field>``, when a field of the
+    dataclass ``config`` does not hold a value of its annotated type, when a
+    float field is not finite, or when a field given in ``least`` is below
+    the value given for it."""
     for f in fields(config):
-        value = getattr(config, f.name)
+        value, name = getattr(config, f.name), f"{section}.{f.name}"
         if f.type in _FIELD_TYPES and (
                 not isinstance(value, _FIELD_TYPES[f.type])
                 or isinstance(value, bool) != (f.type == "bool")):
-            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            raise ValueError(f"{name} must be of type {f.type}, got {value!r}")
+        if f.type in ("float", "Optional[float]") and value is not None \
+                and not is_finite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        if f.name in least and value < least[f.name]:
+            raise ValueError(f"{name} must be >= {least[f.name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,7 @@ class FixedLatency:
     ticks: int = 1
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "workers.latency")
         if self.ticks < 1:
             raise ValueError(f"latency must be >= 1 tick, got {self.ticks}")
 
@@ -88,7 +106,7 @@ class UniformLatency:
     high: int  # inclusive
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "workers.latency")
         if self.low < 1 or self.high < self.low:
             raise ValueError(f"need 1 <= low <= high, got [{self.low}, {self.high}]")
         if self.high > np.iinfo(np.int64).max:  # numpy draws int64
@@ -103,7 +121,7 @@ class GeometricLatency:
     p: float  # success probability; support {1, 2, ...}
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, "workers.latency")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"geometric p must be in (0, 1], got {self.p}")
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,9 +108,12 @@ class TestConfig:
                 parse_config(raw)
         assert parse_config({"problem": None, "workers": None}) == parse_config({})
 
-    def test_missing_dataset_path_rejected(self):
-        with pytest.raises(ValueError, match="path"):
-            parse_config({"problem": {"kind": "libsvm_logistic", "path": "/nope"}})
+    def test_missing_dataset_path_rejected(self, tmp_path):
+        # a directory passes an existence test and fails only at load
+        for path in ("/nope", str(tmp_path)):
+            with pytest.raises(ValueError, match="dataset path"):
+                parse_config({"problem": {"kind": "libsvm_logistic",
+                                          "path": path}})
 
     def test_algo_section_is_algo_config(self):
         # every AlgoConfig field is a config key with the same default, and
@@ -146,6 +150,11 @@ class TestConfig:
         ("problem", "lambda1", math.inf), ("problem", "lambda2", math.inf),
         ("run", "out_dir", 5), ("run", "loss_target", math.nan),
         ("run", "loss_target", math.inf), ("run", "loss_target", -math.inf),
+        # an int past the float range is not finite either
+        pytest.param("problem", "lambda1", 10**400, id="problem-lambda1-huge"),
+        pytest.param("problem", "lambda2", 10**400, id="problem-lambda2-huge"),
+        pytest.param("problem", "flip_prob", 10**400,
+                     id="problem-flip_prob-huge"),
     ])
     def test_bad_problem_and_run_values_rejected_at_parse(self, section, key,
                                                           value, monkeypatch):
@@ -164,21 +173,29 @@ class TestConfig:
         ("problem", {"kind": "synth_mlp", "hidden": 0}, "hidden"),
         ("problem", {"kind": "synth_mlp", "classes": 1}, "classes"),
         ("algo", {"seed": -1}, "seed"),
+        ("algo", {"epochs": 0}, "epochs"), ("algo", {"m": 0}, "m"),
+        ("algo", {"batch_size": 0}, "batch_size"),
+        ("algo", {"metric_every": 0}, "metric_every"),
+        ("algo", {"tau": -1}, "tau"), ("algo", {"mu": -0.1}, "mu"),
+        ("run", {"oracle_iters": -1}, "oracle_iters"),
     ])
     def test_out_of_range_sizes_and_seeds_rejected_at_parse(
             self, section, values, key, monkeypatch):
-        # each failed only at build or mid-run, or (hidden 0) ran to the end
+        # the sizes and seeds failed only at build or mid-run, or (hidden 0)
+        # ran to the end; every bound is refused in one form
         def refuse(*args):
             raise AssertionError("the problem was built")
 
         monkeypatch.setattr(harness, "build_problem", refuse)
-        with pytest.raises(ValueError, match=rf"\b{key} must be >= "):
+        with pytest.raises(ValueError, match=rf"^{section}\.{key} must be >= "
+                           rf"[\d.]+, got {re.escape(repr(values[key]))}$"):
             parse_config({section: values})
 
     @pytest.mark.parametrize("run, key", [
         ({"loss_target": "autoo"}, "run.loss_target"),
         ({"loss_target": True}, "run.loss_target"),
         ({"oracle_iters": -5}, "run.oracle_iters"),
+        ({"loss_target": 10**400}, "run.loss_target"),
     ])
     def test_bad_run_values_rejected_at_parse(self, run, key):
         with pytest.raises(ValueError, match=key):
@@ -192,6 +209,9 @@ class TestConfig:
         ("eta", "0.1"), ("mu", True), ("sigma", "2"), ("phi", "4"),
         ("eta", math.nan), ("eta", math.inf), ("sigma", math.nan),
         ("phi", math.nan), ("phi", math.inf),
+        # an int past the float range is not finite either
+        *(pytest.param(key, 10**400, id=f"{key}-huge")
+          for key in ("eta", "mu", "sigma", "phi")),
     ])
     def test_bad_algo_values_rejected_at_parse(self, key, value):
         # a wrong type or a non-finite value fails where the config is read,
@@ -237,9 +257,11 @@ class TestConfig:
         ({"count": 2.0}, "workers.count"),
         ({"count": 3, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
         ({"count": 1, "latency": [{"kind": "fixed"}] * 2}, "2 entries"),
+        ({"latency": {"kind": "geometric", "p": 10**400}},
+         "latency.p must be finite"),
     ], ids=["unknown_key", "float_low", "missing_high", "huge_high", "str_ticks",
             "str_p", "unknown_kind", "not_object", "bool_count", "float_count",
-            "short_list", "long_list"])
+            "short_list", "long_list", "huge_p"])
     def test_bad_workers_rejected_at_parse(self, workers, match):
         with pytest.raises(ValueError, match=match):
             parse_config({"workers": workers})
